@@ -179,11 +179,12 @@ func BenchmarkPhaseSeparatorDiagonal(b *testing.B) {
 func BenchmarkPhaseSeparatorGates(b *testing.B) {
 	pb := benchProblem(b)
 	pr := qaoa.Params{Gamma: []float64{0.4, 0.7, 0.9}, Beta: []float64{0.5, 0.3, 0.2}}
+	cut := pb.Graph.WeightedCutTable()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := pb.BuildCircuit(pr).Simulate()
-		_ = st.ExpectationDiagonal(pb.CutTable)
+		_ = st.ExpectationDiagonal(cut)
 	}
 }
 
@@ -591,16 +592,13 @@ func BenchmarkLBFGSBGradientPath(b *testing.B) {
 
 // largeBenchProblem builds a 3-regular streaming-mode MaxCut instance.
 // Above the streaming threshold no 2^n cost table exists; C(z) is
-// generated from the edge list per fixed-geometry chunk.
+// generated from the compiled couplings per fixed-geometry chunk.
 func largeBenchProblem(b *testing.B, n int) *qaoa.Problem {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(40 + n)))
 	pb, err := qaoa.NewProblem(graph.RandomRegular(n, 3, rng))
 	if err != nil {
 		b.Fatal(err)
-	}
-	if pb.CutTable != nil {
-		b.Fatalf("n=%d problem materialized its cut table; streaming expected", n)
 	}
 	return pb
 }

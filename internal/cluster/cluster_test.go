@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"qaoaml/internal/graph"
+	"qaoaml/internal/problem"
 	"qaoaml/internal/server"
 	"qaoaml/internal/telemetry"
 )
@@ -79,6 +81,28 @@ func fleetReq(i int) server.SolveRequest {
 		Nodes: 8, Edges: edges, Depth: 2,
 		Strategy: "naive", Seed: int64(1 + i), Wait: true,
 	}
+}
+
+// maxCutFingerprint is the fingerprint the coordinator dispatches a
+// MaxCut request on: the graph the server builds from it, hashed as a
+// problem.Spec.
+func maxCutFingerprint(t *testing.T, req server.SolveRequest) string {
+	t.Helper()
+	g := graph.New(req.Nodes)
+	for i, e := range req.Edges {
+		w := 1.0
+		if req.Weights != nil {
+			w = req.Weights[i]
+		}
+		if err := g.AddWeightedEdge(e[0], e[1], w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp, err := problem.MaxCut(g).Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
 }
 
 func solveHTTP(t *testing.T, url string, req server.SolveRequest) (int, server.JobView) {
@@ -170,19 +194,39 @@ func TestFleetWorkerFailover(t *testing.T) {
 	single := startNode(t, server.Config{Workers: 2})
 	coord, workers, disp := startFleet(t, 2, server.Config{CacheSize: -1})
 
+	dead := workers[0].ts.URL
+	ring := NewRing([]string{dead, workers[1].ts.URL})
 	// Kill worker 0 outright (listener gone: connection refused, the
 	// same signature as kill -9 from the coordinator's side).
 	workers[0].ts.Close()
 
-	for i := 0; i < 4; i++ {
+	// httptest ports are random, so the ring may route the first
+	// requests away from the dead worker, and the health probe cannot
+	// fire within the test. Keep going until one request is owned by
+	// it, so the dispatcher must meet the dead address.
+	hitDead := false
+	for i := 0; i < 4 || !hitDead; i++ {
+		if i == 64 {
+			t.Fatal("no request routed to the dead worker")
+		}
 		req := fleetReq(i)
+		if i >= 8 {
+			// fleetReq repeats its graph with period 8; weighting the
+			// chord gives every later request a fresh fingerprint.
+			req.Weights = make([]float64, len(req.Edges))
+			for e := range req.Weights {
+				req.Weights[e] = 1
+			}
+			req.Weights[len(req.Weights)-1] = float64(1 + i/8)
+		}
+		hitDead = hitDead || ring.Owner(maxCutFingerprint(t, req)) == dead
 		want := solveDone(t, single.ts.URL, req)
 		got := solveDone(t, coord.ts.URL, req)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("request %d: post-failover result differs:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
-	if up := disp.Workers(); up[workers[0].ts.URL] {
+	if up := disp.Workers(); up[dead] {
 		t.Fatal("dead worker still marked live after failed dispatches")
 	}
 }

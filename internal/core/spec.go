@@ -12,9 +12,9 @@ import (
 
 // Spec-level entry points: every optimization flow in this package
 // accepts a problem.Spec and compiles it once through qaoa.New. MaxCut
-// specs route to the legacy graph path inside qaoa.New, so these
-// wrappers are bit-identical to calling the *qaoa.Problem variants on
-// NewProblem output.
+// specs go through qaoa.NewProblem inside qaoa.New, so these wrappers
+// are bit-identical to calling the *qaoa.Problem variants on NewProblem
+// output.
 
 // OptimizeDepthSpec is OptimizeDepthCtx over a problem spec.
 func OptimizeDepthSpec(ctx context.Context, spec problem.Spec, graphID, depth, starts int, opt optimize.Optimizer, rng *rand.Rand, rec telemetry.Recorder, seeds ...qaoa.Params) (Record, error) {

@@ -1,8 +1,8 @@
 package optimize
 
 import (
+	"context"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -64,112 +64,34 @@ func TestMinimizeBatchIsBitIdenticalToMinimize(t *testing.T) {
 	}
 }
 
-// MinimizeWith must route to MinimizeBatch when available and fall back
-// to Minimize otherwise.
+// Run with a batch objective must route to MinimizeBatch when the
+// optimizer has one and fall back to Minimize otherwise.
 func TestMinimizeWithDispatch(t *testing.T) {
 	b := UniformBounds(2, -2, 2)
 	f := sphere([]float64{0.5, 0.5})
 	x0 := []float64{-1, 1}
 	cb := &countingBatch{f: f}
-	got := MinimizeWith(&LBFGSB{}, f, cb.eval, x0, b)
+	run := func(opt Optimizer, bf BatchFunc) Result {
+		return Run(context.Background(), Problem{F: f, Batch: bf, X0: x0, Bounds: b}, Options{Optimizer: opt})
+	}
+	got := run(&LBFGSB{}, cb.eval)
 	want := (&LBFGSB{}).Minimize(f, x0, b)
 	if !resultsEqual(got, want) {
-		t.Errorf("MinimizeWith(LBFGSB) = %+v, want %+v", got, want)
+		t.Errorf("Run(LBFGSB, batch) = %+v, want %+v", got, want)
 	}
 	if cb.batches == 0 {
-		t.Error("MinimizeWith did not use the batch path for a BatchMinimizer")
+		t.Error("Run did not use the batch path for a BatchMinimizer")
 	}
 	// NelderMead has no batch path: bf must be ignored, not break anything.
-	nm := MinimizeWith(&NelderMead{}, f, cb.eval, x0, b)
+	nm := run(&NelderMead{}, cb.eval)
 	nmWant := (&NelderMead{}).Minimize(f, x0, b)
 	if !resultsEqual(nm, nmWant) {
-		t.Errorf("MinimizeWith(NelderMead) = %+v, want %+v", nm, nmWant)
+		t.Errorf("Run(NelderMead, batch) = %+v, want %+v", nm, nmWant)
 	}
 	// nil bf always takes the serial path.
-	if got := MinimizeWith(&LBFGSB{}, f, nil, x0, b); !resultsEqual(got, want) {
-		t.Errorf("MinimizeWith(nil bf) = %+v, want %+v", got, want)
+	if got := run(&LBFGSB{}, nil); !resultsEqual(got, want) {
+		t.Errorf("Run(LBFGSB, nil batch) = %+v, want %+v", got, want)
 	}
-}
-
-// MultiStartFromBatch must match MultiStartFrom run for run.
-func TestMultiStartFromBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	b := UniformBounds(3, -2, 2)
-	starts := make([][]float64, 6)
-	for i := range starts {
-		starts[i] = b.Random(rng)
-	}
-	f := sphere([]float64{0.4, -0.3, 0.9})
-	serial := MultiStartFrom(&LBFGSB{}, f, b, starts)
-	batched := MultiStartFromBatch(&LBFGSB{}, f, SerialBatch(f), b, starts)
-	if len(batched.Runs) != len(serial.Runs) {
-		t.Fatalf("run count %d != %d", len(batched.Runs), len(serial.Runs))
-	}
-	for i := range serial.Runs {
-		if !resultsEqual(serial.Runs[i], batched.Runs[i]) {
-			t.Errorf("run %d: batch %+v != serial %+v", i, batched.Runs[i], serial.Runs[i])
-		}
-	}
-	if batched.TotalNFev != serial.TotalNFev || !resultsEqual(batched.Best, serial.Best) {
-		t.Errorf("aggregate mismatch: batch (best %+v, nfev %d) vs serial (best %+v, nfev %d)",
-			batched.Best, batched.TotalNFev, serial.Best, serial.TotalNFev)
-	}
-}
-
-// Concurrent multistart must produce exactly the serial MultiStartFrom
-// results — runs are independent, results indexed by start, best folded
-// in start order — for any worker count.
-func TestMultiStartFromConcurrentMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	b := UniformBounds(2, -2, 2)
-	starts := make([][]float64, 9)
-	for i := range starts {
-		starts[i] = b.Random(rng)
-	}
-	f := rosenbrock
-	serial := MultiStartFrom(&LBFGSB{}, f, b, starts)
-	for _, workers := range []int{1, 2, 4, 16} {
-		conc := MultiStartFromConcurrent(&LBFGSB{}, func() Func { return f }, b, starts, workers)
-		if len(conc.Runs) != len(serial.Runs) {
-			t.Fatalf("workers=%d: run count %d != %d", workers, len(conc.Runs), len(serial.Runs))
-		}
-		for i := range serial.Runs {
-			if !resultsEqual(serial.Runs[i], conc.Runs[i]) {
-				t.Errorf("workers=%d run %d: concurrent %+v != serial %+v",
-					workers, i, conc.Runs[i], serial.Runs[i])
-			}
-		}
-		if conc.TotalNFev != serial.TotalNFev || !resultsEqual(conc.Best, serial.Best) {
-			t.Errorf("workers=%d: aggregate mismatch", workers)
-		}
-	}
-}
-
-// MultiStartConcurrent must draw the same start points as MultiStart
-// with the same rng, so the whole MultiStartResult matches.
-func TestMultiStartConcurrentMatchesMultiStart(t *testing.T) {
-	b := UniformBounds(2, 0, math.Pi)
-	serial := MultiStart(&SLSQP{}, qaoaLike, b, 5, rand.New(rand.NewSource(21)))
-	conc := MultiStartConcurrent(&SLSQP{}, func() Func { return qaoaLike }, b, 5,
-		rand.New(rand.NewSource(21)), 3)
-	if len(conc.Runs) != len(serial.Runs) {
-		t.Fatalf("run count %d != %d", len(conc.Runs), len(serial.Runs))
-	}
-	for i := range serial.Runs {
-		if !resultsEqual(serial.Runs[i], conc.Runs[i]) {
-			t.Errorf("run %d: concurrent %+v != serial %+v", i, conc.Runs[i], serial.Runs[i])
-		}
-	}
-}
-
-func TestMultiStartConcurrentPanicsOnZeroStarts(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MultiStartFromConcurrent(&LBFGSB{}, func() Func { return rosenbrock },
-		UniformBounds(2, -1, 1), nil, 2)
 }
 
 // The workspace gradient must agree bit-for-bit with the package-level

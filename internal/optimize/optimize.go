@@ -10,8 +10,8 @@
 // honors cancellation and deadlines (checked once per outer iteration),
 // emits per-iteration traces and per-run FC/latency observations
 // through a telemetry.Recorder, and reports the termination cause in
-// Result.Status. Minimize, MinimizeBatch and MinimizeWith are thin
-// wrappers around it.
+// Result.Status. Minimize and MinimizeBatch are thin wrappers around
+// it.
 //
 // The implementations follow the same algorithm families as the SciPy
 // routines the paper uses; see DESIGN.md for the substitution notes.

@@ -59,11 +59,10 @@ type Options struct {
 }
 
 // Run is the context-first entry point every optimizer run goes
-// through: Minimize, MinimizeBatch and MinimizeWith are one-line
-// wrappers around it. The context is checked once per outer iteration,
-// so cancellation and deadlines take effect within one optimizer step
-// and the returned Result carries the best point found so far with
-// Status == Cancelled.
+// through: Minimize and MinimizeBatch are one-line wrappers around it.
+// The context is checked once per outer iteration, so cancellation and
+// deadlines take effect within one optimizer step and the returned
+// Result carries the best point found so far with Status == Cancelled.
 func Run(ctx context.Context, p Problem, opts Options) Result {
 	if ctx == nil {
 		ctx = context.Background()

@@ -24,9 +24,9 @@ type Spec struct {
 	PenaltyB float64        // coloring conflict penalty (0 = 1)
 }
 
-// MaxCut wraps a weighted graph as a MaxCut spec — the family that
-// keeps the legacy direct-graph evaluation path, bit-identical to the
-// pre-Spec API.
+// MaxCut wraps a weighted graph as a MaxCut spec — the paper's family,
+// the one whose fingerprint is the graph's and whose problems keep the
+// graph for their ratio and readout policy.
 func MaxCut(g *graph.Graph) Spec { return Spec{Family: FamilyMaxCut, Graph: g} }
 
 // FromInstance wraps a pre-built Ising/QUBO Hamiltonian.
@@ -47,9 +47,8 @@ func Coloring(g *graph.Graph, colors int) Spec {
 }
 
 // Compile lowers the spec to its Ising Instance. MaxCut specs compile
-// too (Offset m/2, J = −w/2) — qaoa routes them to the legacy graph
-// kernels by family, but the compiled form is what the bit-identity
-// guarantees are stated against.
+// too (Offset m/2, J = −w/2): qaoa evaluates every family, MaxCut
+// included, on the compiled form.
 func (s Spec) Compile() (*Instance, error) {
 	switch s.Family {
 	case FamilyMaxCut:

@@ -69,13 +69,15 @@ func mod(x, m float64) float64 {
 // 3-regular, where this folding is what makes the per-stage patterns
 // comparable across graphs.
 func (pb *Problem) Canonicalize(pr Params) Params {
-	// Generic Ising instances: linear terms break the bit-flip (X⊗n)
+	// Non-MaxCut Ising instances: linear terms break the bit-flip (X⊗n)
 	// symmetry behind the β mod π/2 folding, so only the full-period
 	// reductions apply — β mod π always (RX(2β) is π-periodic up to
 	// global phase), plus γ mod 2π and the joint conjugation when the
 	// doubled coefficients are integral (phase-generator differences are
-	// then integers, making the separator 2π-periodic in γ).
-	if pb.Inst != nil {
+	// then integers, making the separator 2π-periodic in γ). MaxCut
+	// problems carry a compiled Inst too, so the graph is what selects
+	// the MaxCut rules below.
+	if pb.Graph == nil {
 		if pb.Inst.IntegerCoeffs() {
 			return canonicalizeIsing(pr)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qaoaml/internal/graph"
+	"qaoaml/internal/problem"
 )
 
 // fdStep balances truncation (O(h²·f''')) against roundoff (O(ε|f|/h))
@@ -94,21 +95,29 @@ func TestAdjointGradientMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
-// The general diagonal ansatz (exp(−iγC) convention, arbitrary cost
-// tables) must differentiate exactly too.
-func TestAdjointGradientDiagonalProblem(t *testing.T) {
+// Hamiltonians with on-site fields (RandomIsing: ±1 couplings and
+// fields) must differentiate exactly too.
+func TestAdjointGradientIsingFields(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	// Small weights keep the quadratic cost table O(1): the FD *reference*
-	// truncation error scales with |C|³, and large tables would make the
-	// reference — not the adjoint — the inaccurate side.
-	dp, err := NumberPartitionProblem([]float64{0.3, 0.1, 0.4, 0.15, 0.5})
-	if err != nil {
-		t.Fatal(err)
+	in := problem.RandomIsing(5, rng)
+	// Small coefficients keep the Score diagonal O(1): the FD *reference*
+	// truncation error scales with |H|³, and a large diagonal would make
+	// the reference — not the adjoint — the inaccurate side.
+	hasLinear := false
+	for i := range in.Linear {
+		in.Linear[i] *= 0.1
+		hasLinear = hasLinear || in.Linear[i] != 0
 	}
-	ws := dp.NewWorkspace()
+	if !hasLinear {
+		t.Fatal("test instance has no linear terms; reseed")
+	}
+	for i := range in.Quad {
+		in.Quad[i].W *= 0.1
+	}
+	ws := mustIsing(t, in).NewWorkspace()
 	for p := 1; p <= 4; p++ {
-		checkGradient(t, ws, randomPoint(rng, p, false), "numpart/interior")
-		checkGradient(t, ws, randomPoint(rng, p, true), "numpart/face")
+		checkGradient(t, ws, randomPoint(rng, p, false), "ising/interior")
+		checkGradient(t, ws, randomPoint(rng, p, true), "ising/face")
 	}
 }
 

@@ -7,14 +7,13 @@ import (
 	"qaoaml/internal/quantum"
 )
 
-// Generic Ising/QUBO front-end. New is the canonical constructor for
-// every problem family: MaxCut specs route to the legacy graph kernels
-// (bit-identical to NewProblem), every other family compiles to a
-// problem.Instance and evaluates through the Ising kernels — the
-// materialized table below StreamingThreshold, the streaming kernel
-// (ising_stream.go) above it. QAOA always maximizes Score(z) =
-// sense·Value(z), so minimization families need no special casing past
-// compilation.
+// Ising/QUBO front-end. New is the canonical constructor for every
+// problem family: each compiles to a problem.Instance and evaluates
+// through the Ising kernels — the materialized table below
+// StreamingThreshold, the streaming kernel (ising_stream.go) above it.
+// MaxCut specs go through NewProblem, which adds MaxCut's ratio and
+// readout policy on top. QAOA always maximizes Score(z) = sense·Value(z),
+// so minimization families need no special casing past compilation.
 
 // New builds an evaluation-ready Problem from a problem spec.
 func New(spec problem.Spec) (*Problem, error) {
@@ -46,13 +45,20 @@ func New(spec problem.Spec) (*Problem, error) {
 // register is capped at problem.BruteForceMaxQubits — approximation
 // ratios are undefined without the true optimum.
 func NewIsing(in *problem.Instance) (*Problem, error) {
+	pb, _, err := newIsing(in)
+	return pb, err
+}
+
+// newIsing is NewIsing also returning an assignment that attains the
+// optimum.
+func newIsing(in *problem.Instance) (*Problem, uint64, error) {
 	if err := in.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if in.N > problem.BruteForceMaxQubits {
-		return nil, fmt.Errorf("qaoa: %d-qubit instance exceeds the %d-qubit exact-optimum limit", in.N, problem.BruteForceMaxQubits)
+		return nil, 0, fmt.Errorf("qaoa: %d-qubit instance exceeds the %d-qubit exact-optimum limit", in.N, problem.BruteForceMaxQubits)
 	}
-	opt, worst, _ := in.BruteForce()
+	opt, worst, arg := in.BruteForce()
 	sign := in.Sense.Sign()
 	pb := &Problem{
 		Spec:     problem.FromInstance(in),
@@ -61,9 +67,9 @@ func NewIsing(in *problem.Instance) (*Problem, error) {
 		MinScore: sign * worst, // worst Score (AR floor)
 	}
 	if pb.OptValue <= pb.MinScore {
-		return nil, fmt.Errorf("qaoa: constant objective (score range [%v, %v]); nothing to optimize", pb.MinScore, pb.OptValue)
+		return nil, 0, fmt.Errorf("qaoa: constant objective (score range [%v, %v]); nothing to optimize", pb.MinScore, pb.OptValue)
 	}
-	return pb, nil
+	return pb, arg, nil
 }
 
 // buildIsingTables materializes the Score diagonal and the phase
@@ -72,9 +78,8 @@ func NewIsing(in *problem.Instance) (*Problem, error) {
 // the doubled sum T(z) = Σ(2J)ss + Σ(2h)s in int64 and recover both
 // tables by exact halving — the same arithmetic the streaming kernel
 // uses, which is what makes materialized and streamed evaluation
-// bit-identical (and, for compiled MaxCut, identical to the legacy
-// cut-table kernel: T = 2C − m gives gen = (m−2C)/2 and Score = C
-// exactly).
+// bit-identical (and, for integer-weight MaxCut, identical to the cut
+// table: T = 2C − m gives gen = (m−2C)/2 and Score = C exactly).
 func buildIsingTables(in *problem.Instance) (diag, gen []float64) {
 	dim := 1 << uint(in.N)
 	diag = make([]float64, dim)
@@ -132,10 +137,9 @@ func buildIsingTables(in *problem.Instance) (diag, gen []float64) {
 	return diag, gen
 }
 
-// newIsingKernel picks the evaluation engine for an instance by size,
-// mirroring the MaxCut dispatch: materialized tables with memoized
-// phase factors below StreamingThreshold, chunk-streamed generation
-// above.
+// newIsingKernel picks the evaluation engine for an instance by size:
+// materialized tables with memoized phase factors below
+// StreamingThreshold, chunk-streamed generation above.
 func newIsingKernel(in *problem.Instance) costKernel {
 	if in.N < StreamingThreshold {
 		diag, gen := buildIsingTables(in)
@@ -145,14 +149,14 @@ func newIsingKernel(in *problem.Instance) costKernel {
 }
 
 // ScoreValue returns the direction-normalized objective Score(z) for
-// an assignment — cut weight for MaxCut problems, sense·Value for
-// compiled instances. This is the quantity QAOA maximizes and the one
-// reports should quote.
+// an assignment — the cut weight, read through the graph, for MaxCut
+// problems and sense·Value otherwise. This is the quantity QAOA
+// maximizes and the one reports should quote.
 func (pb *Problem) ScoreValue(z uint64) float64 {
-	if pb.Inst != nil {
-		return pb.Inst.Score(z)
+	if pb.Graph != nil {
+		return pb.CutValue(z)
 	}
-	return pb.CutValue(z)
+	return pb.Inst.Score(z)
 }
 
 // BestSampled returns the most probable basis state's Score and
@@ -178,7 +182,7 @@ func (pb *Problem) NormalizedScore(e float64) float64 {
 // per coupling. With RZ(θ) = diag(e^{−iθ/2}, e^{+iθ/2}), basis state z
 // picks up exactly e^{iγ·gen(z)} — the fast path's convention, global
 // phase included. A compiled MaxCut (sense +1, J = −w/2) emits
-// RZ(−γw), the legacy MaxCut circuit gate for gate.
+// CNOT·RZ(−γw)·CNOT per edge, the paper's circuit gate for gate.
 func (pb *Problem) isingCircuit(c *quantum.Circuit, gamma float64) {
 	sign := pb.Inst.Sense.Sign()
 	for q, h := range pb.Inst.Linear {

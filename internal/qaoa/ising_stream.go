@@ -8,9 +8,12 @@ import (
 	"qaoaml/internal/quantum"
 )
 
-// Streaming cost path for large Ising/QUBO instances — the general-
-// Hamiltonian sibling of streamKernel (stream.go), sharing its chunk
-// decomposition and its exact-integer discipline.
+// Streaming cost path for large instances. The materialized diagKernel
+// needs a 2^n float64 Score table plus a 2^n int32 index table — 12 MiB
+// at n = 20, 200 MiB at n = 24 — on top of the state vector itself. The
+// streaming kernel eliminates both: Score(z) is recomputed on the fly,
+// chunk by chunk over the same fixed geometry every other kernel uses
+// (quantum.ChunkLen amplitudes per chunk).
 //
 // The Hamiltonian is evaluated through the doubled accumulator
 //
@@ -28,20 +31,92 @@ import (
 // Score = C bit-for-bit — the identity the MaxCut-via-QUBO acceptance
 // tests assert).
 //
-// Chunk decomposition over the fixed geometry, with cb chunk bits:
+// Within a chunk, the low cb = log2(chunk length) bits of z run through
+// all values while the high bits are frozen, so T splits three ways:
 //
 //   - quadratic terms with both spins below cb and linear terms below
-//     cb fold into a 2^cb table built once at construction;
-//   - terms entirely in the high bits are a per-chunk constant;
+//     cb fold into a 2^cb table (≤ 256 KiB — chunk-sized, not
+//     state-sized) built once at construction and shared by every chunk;
+//   - terms entirely in the high bits are a per-chunk constant,
+//     computed once per chunk;
 //   - cross terms (i < cb ≤ j) reduce, for frozen high bits, to a
-//     per-low-spin linear form base + Σ_{set bits} d_u updated in O(1)
-//     per amplitude via the trailing-zeros prefix-sum trick of
-//     stream.go.
+//     per-low-spin linear form base + Σ_{set bits} d_u. It updates in
+//     O(1) per increment of the chunk index: when zl−1 → zl flips the
+//     trailing run up to bit t = TrailingZeros(zl), the sum changes by
+//     d_t − Σ_{u<t} d_u — a prefix-sum lookup.
 //
 // All per-chunk values depend only on the chunk bounds, so results are
 // bit-identical at every GOMAXPROCS; on the integer path they are also
 // bit-identical to the materialized Ising kernel, which derives its
-// tables from the same T accumulator.
+// tables from the same T accumulator. Float-coefficient instances
+// stream per-amplitude phases through math.Sincos (no finite
+// distinct-value set to memoize) and agree with the materialized path
+// to rounding error.
+
+// StreamingThreshold is the qubit count from which problems stop
+// materializing the 2^n Score table and evaluate in streaming mode. At
+// n = 13 the table pair costs 96 KiB + 32 KiB — already bigger than the
+// reduction chunk — and doubles per qubit.
+const StreamingThreshold = 13
+
+// maxStreamFactorTable caps the distinct-value phase-factor table of
+// the integer streaming path. Instances whose T range exceeds it
+// (extreme coefficients) fall back to per-amplitude Sincos streaming.
+const maxStreamFactorTable = 1 << 16
+
+// maxStreamChunkBits bounds the chunk width the kernel's stack arrays
+// are sized for; quantum.LargeReduceChunkLen = 2^15 keeps us below it.
+const maxStreamChunkBits = 16
+
+// streamScratch holds one chunk's worth of generated cost data.
+type streamScratch struct {
+	idx []int32
+	gen []float64
+}
+
+// scratchList recycles chunk scratch through a bounded channel, one
+// list per kernel. A global sync.Pool has per-P caches that every GC
+// clears, so long runs would re-allocate scratch once per P per GC
+// cycle — bytes/op growing with GOMAXPROCS. A channel freelist survives
+// GC and is shared across Ps: in steady state at most maxPoolWorkers
+// buffers circulate and warm chunk bodies allocate nothing.
+type scratchList struct {
+	ch chan *streamScratch
+}
+
+func newScratchList() scratchList {
+	return scratchList{ch: make(chan *streamScratch, 64)}
+}
+
+func (l scratchList) get() *streamScratch {
+	select {
+	case ws := <-l.ch:
+		return ws
+	default:
+		return new(streamScratch)
+	}
+}
+
+func (l scratchList) put(ws *streamScratch) {
+	select {
+	case l.ch <- ws:
+	default:
+	}
+}
+
+func (ws *streamScratch) idxBuf(n int) []int32 {
+	if cap(ws.idx) < n {
+		ws.idx = make([]int32, n)
+	}
+	return ws.idx[:n]
+}
+
+func (ws *streamScratch) genBuf(n int) []float64 {
+	if cap(ws.gen) < n {
+		ws.gen = make([]float64, n)
+	}
+	return ws.gen[:n]
+}
 
 // isingStreamKernel evaluates an arbitrary diagonal Hamiltonian from
 // its term lists. Immutable after construction; scratch comes from the
@@ -72,7 +147,10 @@ type isingStreamKernel struct {
 	hiLinInt []int64
 	hiLinF   []float64
 
-	// Integer path: T is exact int64 in [tmin, tmin+nfac).
+	// Integer path: T is exact int64 in [tmin, −tmin] and shares the
+	// parity of tmin (flipping a spin moves T by an even 2a), so the
+	// nfac = −tmin+1 values it takes index the factor table as
+	// (T−tmin)/2.
 	integer bool
 	tmin    int64
 	nfac    int
@@ -102,10 +180,10 @@ func newIsingStreamKernel(in *problem.Instance) *isingStreamKernel {
 		for _, h := range in.Linear {
 			span += int64(math.Abs(2 * h))
 		}
-		if 2*span+1 <= maxStreamFactorTable {
+		if span+1 <= maxStreamFactorTable {
 			k.integer = true
 			k.tmin = -span
-			k.nfac = int(2*span + 1)
+			k.nfac = int(span + 1)
 		}
 	}
 
@@ -314,18 +392,18 @@ func (k *isingStreamKernel) fillScore(lo, hi int, score []float64) {
 	}
 }
 
-// fillIdx writes the factor-table index T(z)−tmin for the chunk
+// fillIdx writes the factor-table index (T(z)−tmin)/2 for the chunk
 // [lo, hi). Integer path only.
 func (k *isingStreamKernel) fillIdx(lo, hi int, idx []int32) {
 	var d, p [maxStreamChunkBits]int64
 	base := k.chunkSetupInt(uint64(lo), &d, &p) - k.tmin
 	tll := k.tllInt
 	var lin int64
-	idx[0] = int32(base + tll[0])
+	idx[0] = int32((base + tll[0]) >> 1)
 	for i := 1; i < hi-lo; i++ {
 		t := bits.TrailingZeros64(uint64(i))
 		lin += d[t] - p[t]
-		idx[i] = int32(base + tll[i] + lin)
+		idx[i] = int32((base + tll[i] + lin) >> 1)
 	}
 }
 
@@ -376,7 +454,7 @@ func (k *isingStreamKernel) prepareFactors(factors []complex128, gamma float64, 
 		sign = -1
 	}
 	for j := range factors {
-		sin, cos := math.Sincos(gamma * k.genFromT(k.tmin+int64(j)))
+		sin, cos := math.Sincos(gamma * k.genFromT(k.tmin+2*int64(j)))
 		factors[j] = complex(cos, sign*sin)
 	}
 }

@@ -19,13 +19,26 @@ func mustIsing(t testing.TB, in *problem.Instance) *Problem {
 	return pb
 }
 
-// The acceptance bar of the QUBO front-end: a MaxCut instance compiled
-// through the generic Ising path must evaluate bit-identically to the
-// direct graph path — expectation AND adjoint gradient — across the
-// materialized (n=8), streaming (n=14) and full-size (n=20) regimes at
-// GOMAXPROCS 1, 2 and 8. T = 2C − m is exact in int64, halving is an
-// exponent shift and m/2 + T/2 = C exactly, so every table, factor and
-// reduction the two paths build holds the same doubles.
+// cutTableKernel is the reference MaxCut evaluator: the materialized
+// cut table C(z) with phase generator (m − 2C(z))/2, built straight
+// from the graph rather than from a compiled instance.
+func cutTableKernel(g *graph.Graph) *diagKernel {
+	cut := g.WeightedCutTable()
+	m := g.TotalWeight()
+	gen := make([]float64, len(cut))
+	for z, c := range cut {
+		gen[z] = (m - 2*c) / 2
+	}
+	return newDiagKernelFromGen(g.N, cut, gen)
+}
+
+// MaxCut evaluates through its compiled Ising instance, and that must be
+// bit-identical to the cut-table evaluator — expectation AND adjoint
+// gradient — across the materialized (n=8), streaming (n=14) and
+// full-size (n=20) regimes at GOMAXPROCS 1, 2 and 8. T = 2C − m is
+// exact in int64, halving is an exponent shift and m/2 + T/2 = C
+// exactly, so every table, factor and reduction the two paths build
+// holds the same doubles.
 func TestMaxCutViaQUBOBitIdentical(t *testing.T) {
 	type cfg struct {
 		n, deg int
@@ -46,31 +59,27 @@ func TestMaxCutViaQUBOBitIdentical(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(400 + c.n)))
 		g := graph.RandomRegular(c.n, c.deg, rng)
-		direct := mustProblem(t, g)
-		in, err := problem.CompileMaxCut(g)
-		if err != nil {
-			t.Fatal(err)
+		pb := mustProblem(t, g)
+		if opt, _ := g.WeightedMaxCut(); pb.OptValue != opt {
+			t.Errorf("n=%d: compiled optimum %v != MaxCut optimum %v", c.n, pb.OptValue, opt)
 		}
-		viaQUBO := mustIsing(t, in)
-		if viaQUBO.OptValue != direct.OptValue {
-			t.Errorf("n=%d: compiled optimum %v != MaxCut optimum %v", c.n, viaQUBO.OptValue, direct.OptValue)
-		}
+		ref := cutTableKernel(g)
 		for _, p := range []int{1, 3} {
 			x := testParams(p).Vector()
 			for _, w := range workers {
 				runtime.GOMAXPROCS(w)
-				dw, qw := direct.NewWorkspace(), viaQUBO.NewWorkspace()
-				if dv, qv := dw.ExpectationVec(x), qw.ExpectationVec(x); dv != qv {
-					t.Errorf("n=%d p=%d w=%d: direct <C> %v != via-QUBO %v", c.n, p, w, dv, qv)
+				rw, qw := newWorkspace(ref, nil), pb.NewWorkspace()
+				if rv, qv := rw.ExpectationVec(x), qw.ExpectationVec(x); rv != qv {
+					t.Errorf("n=%d p=%d w=%d: cut-table <C> %v != compiled %v", c.n, p, w, rv, qv)
 				}
-				dg, qg := make([]float64, len(x)), make([]float64, len(x))
-				dv, qv := dw.ValueGrad(x, dg), qw.ValueGrad(x, qg)
-				if dv != qv {
-					t.Errorf("n=%d p=%d w=%d: direct grad value %v != via-QUBO %v", c.n, p, w, dv, qv)
+				rg, qg := make([]float64, len(x)), make([]float64, len(x))
+				rv, qv := rw.ValueGrad(x, rg), qw.ValueGrad(x, qg)
+				if rv != qv {
+					t.Errorf("n=%d p=%d w=%d: cut-table grad value %v != compiled %v", c.n, p, w, rv, qv)
 				}
-				for i := range dg {
-					if dg[i] != qg[i] {
-						t.Errorf("n=%d p=%d w=%d: grad[%d] direct %v != via-QUBO %v", c.n, p, w, i, dg[i], qg[i])
+				for i := range rg {
+					if rg[i] != qg[i] {
+						t.Errorf("n=%d p=%d w=%d: grad[%d] cut-table %v != compiled %v", c.n, p, w, i, rg[i], qg[i])
 					}
 				}
 			}
@@ -78,40 +87,29 @@ func TestMaxCutViaQUBOBitIdentical(t *testing.T) {
 	}
 }
 
-// Streaming vs materialized for Hamiltonians WITH linear terms: an
-// integer-coefficient spin glass at n=14 takes the streaming kernel
-// through NewIsing, and must match a directly-constructed materialized
-// kernel bit for bit at 1, 2 and 8 workers — both derive every double
-// from the same int64 accumulator.
-func TestIsingStreamMatchesMaterializedExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	in := problem.RandomIsing(14, rng)
-	if !in.IntegerCoeffs() {
-		t.Fatal("RandomIsing should have integer coefficients")
+// checkStreamExact compares pb's streaming kernel against the
+// materialized kernel of the same compiled instance, bit for bit at 1,
+// 2 and 8 workers: expectation, gradient value and every gradient
+// component. Integer-coefficient instances derive every double from the
+// same int64 accumulator on both paths.
+func checkStreamExact(t *testing.T, pb *Problem) {
+	t.Helper()
+	sk, ok := pb.kernel().(*isingStreamKernel)
+	if !ok {
+		t.Fatalf("n=%d instance built %T, want *isingStreamKernel", pb.NumQubits(), pb.kernel())
 	}
-	hasLinear := false
-	for _, h := range in.Linear {
-		if h != 0 {
-			hasLinear = true
-		}
+	if !sk.integer {
+		t.Fatal("integer-coefficient instance did not take the exact integer path")
 	}
-	if !hasLinear {
-		t.Fatal("test instance has no linear terms; raise n or reseed")
-	}
-	pb := mustIsing(t, in)
-	if _, ok := pb.kernel().(*isingStreamKernel); !ok {
-		t.Fatalf("n=%d instance did not pick the streaming kernel", in.N)
-	}
-	diag, gen := buildIsingTables(in)
-	mat := newDiagKernelFromGen(in.N, diag, gen)
-
+	diag, gen := buildIsingTables(pb.Inst)
+	mat := newDiagKernelFromGen(pb.Inst.N, diag, gen)
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, p := range []int{1, 3} {
 		x := testParams(p).Vector()
 		for _, w := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(w)
-			sw, mw := newWorkspace(pb.kernel(), nil), newWorkspace(mat, nil)
+			sw, mw := newWorkspace(sk, nil), newWorkspace(mat, nil)
 			if sv, mv := sw.ExpectationVec(x), mw.ExpectationVec(x); sv != mv {
 				t.Errorf("p=%d w=%d: streaming <Score> %v != materialized %v", p, w, sv, mv)
 			}
@@ -129,31 +127,70 @@ func TestIsingStreamMatchesMaterializedExactly(t *testing.T) {
 	}
 }
 
-// Float-coefficient instances can't share an integer accumulator, so
-// streaming matches materialized to rounding error only.
-func TestIsingStreamFloatCoefficients(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	in := problem.RandomIsing(14, rng)
-	in.Linear[3] = 0.37 // break integrality
-	if in.IntegerCoeffs() {
+// checkStreamFloat is checkStreamExact for float-coefficient instances,
+// which can't share an integer accumulator: streaming matches
+// materialized to rounding error only.
+func checkStreamFloat(t *testing.T, pb *Problem) {
+	t.Helper()
+	if pb.Inst.IntegerCoeffs() {
 		t.Fatal("instance should have float coefficients")
 	}
-	pb := mustIsing(t, in)
 	sk, ok := pb.kernel().(*isingStreamKernel)
 	if !ok {
-		t.Fatal("expected streaming kernel")
+		t.Fatalf("kernel is %T, want *isingStreamKernel", pb.kernel())
 	}
 	if sk.integer {
 		t.Fatal("float instance must take the float streaming path")
 	}
-	diag, gen := buildIsingTables(in)
-	mat := newDiagKernelFromGen(in.N, diag, gen)
+	diag, gen := buildIsingTables(pb.Inst)
+	mat := newDiagKernelFromGen(pb.Inst.N, diag, gen)
 	x := testParams(2).Vector()
-	sv := newWorkspace(pb.kernel(), nil).ExpectationVec(x)
-	mv := newWorkspace(mat, nil).ExpectationVec(x)
-	if math.Abs(sv-mv) > 1e-9*(1+math.Abs(mv)) {
+	sw, mw := newWorkspace(sk, nil), newWorkspace(mat, nil)
+	scale := math.Max(1, math.Abs(pb.OptValue)+math.Abs(pb.MinScore))
+	if sv, mv := sw.ExpectationVec(x), mw.ExpectationVec(x); math.Abs(sv-mv) > 1e-12*scale {
 		t.Errorf("float streaming <Score> %v != materialized %v", sv, mv)
 	}
+	sg, mg := make([]float64, len(x)), make([]float64, len(x))
+	sv, mv := sw.ValueGrad(x, sg), mw.ValueGrad(x, mg)
+	if math.Abs(sv-mv) > 1e-12*scale {
+		t.Errorf("float streaming grad value %v != materialized %v", sv, mv)
+	}
+	for i := range sg {
+		if math.Abs(sg[i]-mg[i]) > 1e-11*scale {
+			t.Errorf("grad[%d] streaming %v != materialized %v", i, sg[i], mg[i])
+		}
+	}
+}
+
+// Streaming vs materialized for an integer spin glass WITH linear
+// terms; n ≥ 13 takes the streaming kernel through the constructor.
+// The MaxCut graphs are covered by TestStreamKernelMatchesMaterializedExactly.
+func TestIsingStreamMatchesMaterializedExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	glass := problem.RandomIsing(14, rng)
+	if !glass.IntegerCoeffs() {
+		t.Fatal("RandomIsing should have integer coefficients")
+	}
+	hasLinear := false
+	for _, h := range glass.Linear {
+		if h != 0 {
+			hasLinear = true
+		}
+	}
+	if !hasLinear {
+		t.Fatal("test instance has no linear terms; raise n or reseed")
+	}
+	checkStreamExact(t, mustIsing(t, glass))
+}
+
+// Float-coefficient streaming for a spin glass with a fractional field.
+// The float-weighted MaxCut graph is covered by
+// TestStreamKernelMatchesMaterializedFloat.
+func TestIsingStreamFloatCoefficients(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	glass := problem.RandomIsing(14, rng)
+	glass.Linear[3] = 0.37 // break integrality
+	checkStreamFloat(t, mustIsing(t, glass))
 }
 
 // The generic gate circuit (RZ per field, CNOT·RZ·CNOT per coupling)
@@ -219,12 +256,11 @@ func TestNewAllFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
 		}
-		if fam == problem.FamilyMaxCut {
-			if pb.Inst != nil || pb.Graph == nil {
-				t.Fatalf("maxcut must keep the legacy graph path")
-			}
-		} else if pb.Inst == nil {
-			t.Fatalf("%s: compiled family did not populate Inst", fam)
+		if pb.Inst == nil {
+			t.Fatalf("%s: problem did not populate its compiled Inst", fam)
+		}
+		if (pb.Graph != nil) != (fam == problem.FamilyMaxCut) {
+			t.Fatalf("%s: Graph set = %v; only MaxCut carries its graph", fam, pb.Graph != nil)
 		}
 		pr := testParams(1)
 		ar := pb.ApproximationRatio(pr)
@@ -261,6 +297,153 @@ func TestIsingCanonicalizePreservesExpectation(t *testing.T) {
 		e0, e1 := pb.Expectation(pr), pb.Expectation(canon)
 		if math.Abs(e0-e1) > 1e-9*(1+math.Abs(e0)) {
 			t.Fatalf("trial %d: canonicalization changed <Score>: %v -> %v", trial, e0, e1)
+		}
+	}
+}
+
+func mustNew(t testing.TB, spec problem.Spec) *Problem {
+	t.Helper()
+	pb, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pb
+}
+
+// Number partitioning compiles to Score(z) = −(Σ s_i·n_i)²: perfect
+// partitions score 0.
+func TestNumberPartitionProblem(t *testing.T) {
+	// {5, 4, 3, 2} has perfect partitions, e.g. {5,2} vs {4,3}.
+	pb := mustNew(t, problem.Partition([]float64{5, 4, 3, 2}))
+	if pb.OptValue != 0 {
+		t.Errorf("perfect partition optimum = %v, want 0", pb.OptValue)
+	}
+	// z = 0110 means sets {5,2} / {4,3}: diff 0.
+	if got := pb.ScoreValue(0b0110); got != 0 {
+		t.Errorf("score(0110) = %v, want 0", got)
+	}
+	// All on one side: diff = 14 → score −196.
+	if got := pb.ScoreValue(0); got != -196 {
+		t.Errorf("score(0000) = %v, want -196", got)
+	}
+}
+
+func TestNumberPartitionValidation(t *testing.T) {
+	if _, err := New(problem.Partition([]float64{1})); err == nil {
+		t.Error("single number accepted")
+	}
+	if _, err := New(problem.Partition([]float64{1, -2})); err == nil {
+		t.Error("negative weight accepted")
+	}
+}
+
+// QAOA on a small partition instance should concentrate probability on
+// perfect partitions.
+func TestQAOASolvesNumberPartitioning(t *testing.T) {
+	pb := mustNew(t, problem.Partition([]float64{5, 4, 3, 2}))
+	// Coarse grid at p = 1 over a scaled-down γ range (scores are
+	// O(100), so useful γ values are small).
+	best := math.Inf(-1)
+	var bestPr Params
+	for i := 1; i <= 60; i++ {
+		for j := 1; j < 60; j++ {
+			pr := Params{
+				Gamma: []float64{0.2 * float64(i) / 60},
+				Beta:  []float64{BetaMax * float64(j) / 60},
+			}
+			if e := pb.Expectation(pr); e > best {
+				best, bestPr = e, pr
+			}
+		}
+	}
+	score, assign := pb.BestSampled(bestPr)
+	if score != 0 {
+		t.Errorf("most probable assignment %04b has score %v, want a perfect partition", assign, score)
+	}
+	if s := pb.ApproximationRatio(bestPr); s <= 0.5 {
+		t.Errorf("optimized normalized score %v not above the uniform baseline", s)
+	}
+}
+
+// At zero angles the state stays uniform, so ⟨Score⟩ is the mean of the
+// diagonal. {1, 2} scores −9, −1, −1, −9: mean −5, normalized 0.5.
+func TestDiagonalZeroParamsUniform(t *testing.T) {
+	pb := mustNew(t, problem.Partition([]float64{1, 2}))
+	if got := pb.Expectation(NewParams(2)); math.Abs(got+5) > 1e-12 {
+		t.Errorf("uniform <Score> = %v, want -5", got)
+	}
+	if s := pb.ApproximationRatio(NewParams(2)); math.Abs(s-0.5) > 1e-12 {
+		t.Errorf("uniform normalized score = %v, want 0.5", s)
+	}
+}
+
+func TestDiagonalEvaluatorCounts(t *testing.T) {
+	ev := NewEvaluator(mustNew(t, problem.Partition([]float64{1, 2})), 2)
+	if ev.Dim() != 4 {
+		t.Fatalf("Dim = %d", ev.Dim())
+	}
+	x := []float64{0.1, 0.2, 0.3, 0.4}
+	for i := 0; i < 3; i++ {
+		_ = ev.NegExpectation(x)
+	}
+	if ev.NFev() != 3 {
+		t.Errorf("NFev = %d", ev.NFev())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("wrong-length vector accepted")
+		}
+	}()
+	ev.NegExpectation([]float64{1})
+}
+
+// NewIsing must reject instances it cannot evaluate or rank — an empty
+// register, a non-finite coefficient, a constant objective — and report
+// the exact Score extremes of the rest.
+func TestNewIsingValidation(t *testing.T) {
+	bad := map[string]*problem.Instance{
+		"no qubits":     {Family: problem.FamilyQUBO, Sense: problem.Maximize},
+		"NaN field":     {Family: problem.FamilyQUBO, Sense: problem.Maximize, N: 1, Vars: 1, Linear: []float64{math.NaN()}},
+		"constant":      {Family: problem.FamilyQUBO, Sense: problem.Maximize, N: 1, Vars: 1, Offset: 3},
+		"no fields set": {Family: problem.FamilyQUBO, Sense: problem.Maximize, N: 2, Vars: 2, Linear: []float64{0, 0}},
+	}
+	for name, in := range bad {
+		if _, err := NewIsing(in); err == nil {
+			t.Errorf("%s: instance accepted", name)
+		}
+	}
+	// Value(z) = 1 + 2·s0 − s1 takes 2, −2, 4, 0; minimized, the best
+	// Score is −(−2) and the worst −4.
+	in := &problem.Instance{Family: problem.FamilyQUBO, Sense: problem.Minimize, N: 2, Vars: 2, Linear: []float64{2, -1}, Offset: 1}
+	pb := mustIsing(t, in)
+	if pb.OptValue != 2 || pb.MinScore != -4 {
+		t.Errorf("opt/min = %v/%v, want 2/-4", pb.OptValue, pb.MinScore)
+	}
+}
+
+// A MaxCut instance evaluated as a generic diagonal Hamiltonian (its
+// compiled instance relabelled, so no MaxCut policy applies) must agree
+// with the MaxCut Problem at every parameter point: the policy layer
+// changes no evaluation bits, and with a zero worst cut the normalized
+// score is exactly the approximation ratio.
+func TestDiagonalMatchesMaxCutProblem(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	g := graph.ErdosRenyiConnected(5, 0.5, rng)
+	pb := mustProblem(t, g)
+	in := mustCompileMaxCut(t, g)
+	in.Family = problem.FamilyQUBO
+	generic := mustIsing(t, in)
+	if generic.Graph != nil || generic.MinScore != 0 || generic.OptValue != pb.OptValue {
+		t.Fatalf("generic instance: graph %v, score range [%v, %v], want nil, [0, %v]",
+			generic.Graph, generic.MinScore, generic.OptValue, pb.OptValue)
+	}
+	for trial := 0; trial < 10; trial++ {
+		pr := randomParams(rng, 1+rng.Intn(3))
+		if a, b := pb.Expectation(pr), generic.Expectation(pr); a != b {
+			t.Fatalf("trial %d: MaxCut %v != diagonal %v", trial, a, b)
+		}
+		if a, b := pb.ApproximationRatio(pr), generic.ApproximationRatio(pr); a != b {
+			t.Fatalf("trial %d: MaxCut ratio %v != normalized score %v", trial, a, b)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package qaoa implements the Quantum Approximate Optimization Algorithm
-// for graph MaxCut exactly as the paper's circuits do: a Hadamard layer,
-// then p stages each made of a phase-separation layer (CNOT·RZ(−γ)·CNOT
-// per edge, equivalently exp(iγ Z⊗Z/2)) and a mixing layer (RX(2β) per
-// qubit, i.e. exp(−iβ Σ Xi)).
+// for any diagonal Ising Hamiltonian (problem.Instance), with graph
+// MaxCut — the paper's problem — as one compiled family among several.
+// The circuits are the paper's: a Hadamard layer, then p stages each made
+// of a phase-separation layer (RZ per field, CNOT·RZ·CNOT per coupling;
+// for MaxCut CNOT·RZ(−γw)·CNOT per edge, equivalently exp(iγw Z⊗Z/2))
+// and a mixing layer (RX(2β) per qubit, i.e. exp(−iβ Σ Xi)).
 //
 // Parameter conventions follow Farhi et al. (the paper's reference [1]):
 // the stage angles are γi ∈ [0, 2π] and βi ∈ [0, π]. A parameter vector
@@ -84,101 +86,88 @@ func (pr Params) Validate(checkDomain bool) error {
 	return nil
 }
 
-// Problem is a (possibly weighted) MaxCut instance prepared for QAOA
-// evaluation: the graph, the cost diagonal C(z) (cut weight per
-// computational basis state), and the exact optimum used for
-// approximation ratios.
+// Problem is a diagonal Ising Hamiltonian prepared for QAOA
+// evaluation: the compiled instance every kernel runs on, and the exact
+// optimum used for approximation ratios.
 //
-// CutTable is only materialized for small instances (n <
-// StreamingThreshold). Above the threshold it stays nil and every
-// evaluation streams C(z) from the edge list (see stream.go), so the
-// per-problem memory footprint is the state vector alone — a 2^20
-// problem holds no 8 MiB cost table and no 4 MiB index table. Use
-// CutValue for point lookups; it works in both modes.
+// Evaluation is family-blind. Below StreamingThreshold the kernel
+// materializes the 2^n Score and phase-generator tables; above it
+// streams them chunk by chunk from the term lists (ising_stream.go), so
+// the per-problem footprint is the state vector alone — a 2^20 problem
+// holds no 8 MiB cost table and no 4 MiB index table.
+//
+// Graph is set for MaxCut problems only and carries MaxCut's policy:
+// the ratio ⟨C⟩/C_opt, the cut weight read out through the graph, and
+// the graph-aware Canonicalize rules.
 type Problem struct {
-	Graph       *graph.Graph
-	CutTable    []float64 // nil in streaming mode
-	OptValue    float64   // exact optimum: MaxCut weight, or best Score for Ising problems
-	TotalWeight float64   // sum of all edge weights (MaxCut problems only)
+	Graph       *graph.Graph // MaxCut problems only
+	OptValue    float64      // exact optimum: MaxCut weight, or best Score for Ising problems
+	TotalWeight float64      // sum of all edge weights (MaxCut problems only)
 
-	// Generic-Hamiltonian fields (New / NewIsing). For non-MaxCut
-	// families Graph is nil, Inst holds the compiled Ising instance and
-	// evaluation runs through the Ising kernels (ising.go); MinScore is
-	// the exact worst Score, the floor of the normalized-score ratio.
+	// Spec is the problem as constructed, Inst its compiled Ising
+	// Hamiltonian, and MinScore the exact worst Score, the floor of the
+	// normalized-score ratio non-MaxCut families report.
 	Spec     problem.Spec
 	Inst     *problem.Instance
 	MinScore float64
 
-	// Fast-path precomputation (see workspace.go), built lazily so any
-	// correctly-populated Problem value gets it on first evaluation.
+	// Fast-path precomputation (see workspace.go), built lazily on
+	// first evaluation.
 	kernOnce sync.Once
 	kern     costKernel
 	pool     wsPool
 }
 
-// NewProblem precomputes the cost table (small instances only — see
-// Problem) and the exact MaxCut optimum. It returns an error for graphs
-// with no edges (AR undefined) or a non-positive optimum (all-negative
-// weights make AR meaningless).
+// NewProblem compiles a (possibly weighted) MaxCut graph to its Ising
+// Hamiltonian and finds the exact optimum. It returns an error for
+// graphs with no edges (AR undefined) or a non-positive optimum
+// (all-negative weights make AR meaningless).
 func NewProblem(g *graph.Graph) (*Problem, error) {
 	if g.NumEdges() == 0 {
 		return nil, fmt.Errorf("qaoa: graph with no edges has no MaxCut objective")
 	}
-	opt, _ := g.WeightedMaxCut()
+	in, err := problem.CompileMaxCut(g)
+	if err != nil {
+		return nil, err
+	}
+	pb, arg, err := newIsing(in)
+	if err != nil {
+		return nil, err
+	}
+	// Read the optimum back through the graph, so it is the cut weight
+	// summed in edge order rather than the scan's running total.
+	opt := g.WeightedCutValue(arg)
 	if opt <= 0 {
 		return nil, fmt.Errorf("qaoa: MaxCut optimum %v is not positive; approximation ratio undefined", opt)
 	}
-	pb := &Problem{
-		Graph:       g,
-		OptValue:    opt,
-		TotalWeight: g.TotalWeight(),
-		Spec:        problem.MaxCut(g),
-	}
-	if g.N < StreamingThreshold {
-		pb.CutTable = g.WeightedCutTable()
-	}
+	pb.Graph = g
+	pb.OptValue = opt
+	pb.TotalWeight = g.TotalWeight()
+	pb.Spec = problem.MaxCut(g)
 	return pb, nil
 }
 
-// CutValue returns C(z), the cut weight of assignment z — a table
-// lookup when the table is materialized, an edge-list scan in streaming
-// mode.
-func (pb *Problem) CutValue(z uint64) float64 {
-	if pb.CutTable != nil {
-		return pb.CutTable[z]
-	}
-	return pb.Graph.WeightedCutValue(z)
-}
+// CutValue returns C(z), the cut weight of assignment z, for a MaxCut
+// problem.
+func (pb *Problem) CutValue(z uint64) float64 { return pb.Graph.WeightedCutValue(z) }
 
-// costDiagonal returns the materialized cost diagonal, computing a
-// fresh table in streaming mode. Only gate-level consumers that
-// genuinely need all 2^n entries (the noisy trajectory sampler) call
-// it; the evaluation hot paths never do.
+// costDiagonal materializes the 2^n Score diagonal. Only gate-level
+// consumers that genuinely need all 2^n entries (the noisy trajectory
+// sampler) call it; the evaluation hot paths never do.
 func (pb *Problem) costDiagonal() []float64 {
-	if pb.Inst != nil {
-		diag, _ := buildIsingTables(pb.Inst)
-		return diag
-	}
-	if pb.CutTable != nil {
-		return pb.CutTable
-	}
-	return pb.Graph.WeightedCutTable()
+	diag, _ := buildIsingTables(pb.Inst)
+	return diag
 }
 
 // NumQubits returns the register width: one qubit per vertex for
 // MaxCut, the compiled register (decision variables plus any
-// quadratization auxiliaries) for Ising problems.
-func (pb *Problem) NumQubits() int {
-	if pb.Inst != nil {
-		return pb.Inst.N
-	}
-	return pb.Graph.N
-}
+// quadratization auxiliaries) in general.
+func (pb *Problem) NumQubits() int { return pb.Inst.N }
 
 // BuildCircuit constructs the explicit gate-level QAOA circuit for the
-// given parameters: H on all qubits, then per stage the CNOT·RZ(−γ)·CNOT
-// phase separator per edge followed by RX(2β) mixers. This is the
-// circuit of the paper's Fig. 1(a).
+// given parameters: H on all qubits, then per stage the phase separator
+// (see isingCircuit; for MaxCut the CNOT·RZ(−γw)·CNOT per edge of the
+// paper's Fig. 1(a)) followed by RX(2β) mixers.
 func (pb *Problem) BuildCircuit(pr Params) *quantum.Circuit {
 	if err := pr.Validate(false); err != nil {
 		panic(err)
@@ -188,23 +177,8 @@ func (pb *Problem) BuildCircuit(pr Params) *quantum.Circuit {
 	for q := 0; q < n; q++ {
 		c.H(q)
 	}
-	if pb.Inst != nil {
-		for s := 0; s < pr.Depth(); s++ {
-			pb.isingCircuit(c, pr.Gamma[s])
-			for q := 0; q < n; q++ {
-				c.RX(q, 2*pr.Beta[s])
-			}
-		}
-		return c
-	}
-	edges := pb.Graph.Edges()
-	weights := pb.Graph.Weights()
 	for s := 0; s < pr.Depth(); s++ {
-		for i, e := range edges {
-			c.CNOT(e.U, e.V)
-			c.RZ(e.V, -pr.Gamma[s]*weights[i])
-			c.CNOT(e.U, e.V)
-		}
+		pb.isingCircuit(c, pr.Gamma[s])
 		for q := 0; q < n; q++ {
 			c.RX(q, 2*pr.Beta[s])
 		}
@@ -251,10 +225,10 @@ func (pb *Problem) ApproximationRatio(pr Params) float64 {
 // Evaluator.ApproximationRatio, so both report bit-identical ratios for
 // the same expectation value.
 func (pb *Problem) ratioOf(e float64) float64 {
-	if pb.Inst != nil {
-		return pb.NormalizedScore(e)
+	if pb.Graph != nil {
+		return e / pb.OptValue
 	}
-	return e / pb.OptValue
+	return pb.NormalizedScore(e)
 }
 
 // BestSampledCut returns the most probable basis state's objective and
@@ -378,10 +352,12 @@ func (pb *Problem) UniformState() *quantum.State {
 
 // GlobalPhaseReference exposes the phase convention used by the fast
 // path for verification: for a depth-1 circuit with β = 0 the amplitude
-// of basis state z is exp(iγ(m−2C(z))/2)/√dim.
+// of basis state z is exp(iγ·gen(z))/√dim with gen(z) = sense·Offset −
+// Score(z) — (m−2C(z))/2 for MaxCut.
 func (pb *Problem) GlobalPhaseReference(gamma float64, z uint64) complex128 {
 	dim := float64(int(1) << uint(pb.NumQubits()))
-	return cmplx.Exp(complex(0, gamma*(pb.TotalWeight-2*pb.CutValue(z))/2)) * complex(1/math.Sqrt(dim), 0)
+	gen := pb.Inst.Sense.Sign()*pb.Inst.Offset - pb.ScoreValue(z)
+	return cmplx.Exp(complex(0, gamma*gen)) * complex(1/math.Sqrt(dim), 0)
 }
 
 // NoisyExpectation estimates ⟨C⟩ for the explicit gate-level circuit

@@ -112,7 +112,7 @@ func TestZeroParamsGiveUniformExpectation(t *testing.T) {
 	if got := pb.Expectation(pr); math.Abs(got-want) > 1e-10 {
 		t.Errorf("<C> = %v, want m/2 = %v", got, want)
 	}
-	if us := pb.UniformState().ExpectationDiagonal(pb.CutTable); math.Abs(us-want) > 1e-10 {
+	if us := pb.UniformState().ExpectationDiagonal(g.WeightedCutTable()); math.Abs(us-want) > 1e-10 {
 		t.Errorf("uniform <C> = %v, want %v", us, want)
 	}
 }

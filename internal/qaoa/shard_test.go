@@ -137,6 +137,11 @@ func TestStreamScratchSurvivesGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	problems["maxksat/n20"] = ksat
+	maxcut, err := NewProblem(graph.RandomRegular(20, 3, rand.New(rand.NewSource(60))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems["maxcut/n20"] = maxcut
 
 	x := []float64{0.4, 0.3}
 	for name, pb := range problems {

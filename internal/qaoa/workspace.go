@@ -36,13 +36,14 @@ import (
 // costKernel is the per-problem evaluation engine behind EvalWorkspace:
 // how the phase separator exp(iγH_γ) is applied, how ⟨C⟩ is read out,
 // and how the adjoint sweep's matrix elements are taken. Two
-// implementations exist:
+// implementations exist, both built from a compiled problem.Instance
+// (newIsingKernel picks by size):
 //
-//   - diagKernel (below): materialized 2^n cost diagonal with
+//   - diagKernel (below): materialized 2^n Score diagonal with
 //     distinct-value phase memoization — the small-n fast path.
-//   - streamKernel (stream.go): computes C(z) on the fly from the edge
-//     list per fixed-geometry chunk, so large MaxCut instances never
-//     hold a 2^n float64 table.
+//   - isingStreamKernel (ising_stream.go): computes Score(z) on the fly
+//     from the term lists per fixed-geometry chunk, so large instances
+//     never hold a 2^n float64 table.
 //
 // Both produce results over the same fixed reduction geometry
 // (quantum.ReduceChunks), so expectations and gradients are
@@ -105,37 +106,12 @@ type diagKernel struct {
 	gen        []float64 // per-amplitude phase generator h(z)
 }
 
-// newDiagKernel factorizes the phase angles angle(z) = coeff(diag[z])
-// into distinct values. Index assignment follows first occurrence in
-// basis-state order, so it is deterministic.
-func newDiagKernel(n int, diag []float64, coeff func(v float64) float64) *diagKernel {
-	k := &diagKernel{
-		n:    n,
-		diag: diag,
-		idx:  make([]int32, len(diag)),
-		gen:  make([]float64, len(diag)),
-	}
-	seen := make(map[float64]int32, 64)
-	for z, v := range diag {
-		a := coeff(v)
-		j, ok := seen[a]
-		if !ok {
-			j = int32(len(k.halfAngles))
-			k.halfAngles = append(k.halfAngles, a)
-			seen[a] = j
-		}
-		k.idx[z] = j
-		k.gen[z] = a
-	}
-	return k
-}
-
 // newDiagKernelFromGen builds the materialized kernel from independent
-// observable and phase-generator tables — the generic-Hamiltonian
-// entry, where gen(z) is not a pointwise function of diag(z) (a
-// minimization instance flips the sign, auxiliary penalties shift it).
-// The distinct-value factorization dedupes gen with the same
-// first-occurrence rule as newDiagKernel.
+// observable and phase-generator tables (gen(z) is not a pointwise
+// function of diag(z): a minimization instance flips the sign, auxiliary
+// penalties shift it). The distinct-value factorization dedupes gen with
+// index assignment in first-occurrence, basis-state order, so it is
+// deterministic.
 func newDiagKernelFromGen(n int, diag, gen []float64) *diagKernel {
 	k := &diagKernel{
 		n:    n,
@@ -159,38 +135,9 @@ func newDiagKernelFromGen(n int, diag, gen []float64) *diagKernel {
 // kernel returns the Problem's phase kernel, building it on first use.
 // Lazy construction keeps any Problem value usable regardless of how it
 // was created; sync.Once makes first use safe under concurrency.
-// Problems with a materialized CutTable get the memoized diagKernel;
-// streaming-mode problems (CutTable nil, n ≥ StreamingThreshold) get
-// the edge-list streamKernel, which never allocates a 2^n table.
 func (pb *Problem) kernel() costKernel {
-	pb.kernOnce.Do(func() {
-		if pb.Inst != nil {
-			pb.kern = newIsingKernel(pb.Inst)
-			return
-		}
-		if pb.CutTable == nil {
-			pb.kern = newStreamKernel(pb.Graph, pb.TotalWeight)
-			return
-		}
-		m := pb.TotalWeight
-		// Each edge contributes e^{iγw/2} when uncut and e^{−iγw/2} when
-		// cut, so amplitude z picks up total phase γ(m − 2C(z))/2 — the
-		// same convention applyPhaseSeparator used, preserving the global
-		// phase of the gate-level circuit.
-		pb.kern = newDiagKernel(pb.NumQubits(), pb.CutTable, func(c float64) float64 {
-			return (m - 2*c) / 2
-		})
-	})
+	pb.kernOnce.Do(func() { pb.kern = newIsingKernel(pb.Inst) })
 	return pb.kern
-}
-
-// kernel returns the DiagonalProblem's phase kernel: exp(−iγC) gives
-// amplitude z the phase −γ·C(z).
-func (dp *DiagonalProblem) kernel() *diagKernel {
-	dp.kernOnce.Do(func() {
-		dp.kern = newDiagKernel(dp.N, dp.Diag, func(d float64) float64 { return -d })
-	})
-	return dp.kern
 }
 
 // costKernel implementation for the materialized-table path. The
@@ -314,11 +261,6 @@ func (pb *Problem) NewWorkspace() *EvalWorkspace {
 // Release, not Close, so the buffers return to the arena.
 func (pb *Problem) NewWorkspaceArena(a *Arena) *EvalWorkspace {
 	return newWorkspace(pb.kernel(), a)
-}
-
-// NewWorkspace returns a reusable evaluation workspace for the problem.
-func (dp *DiagonalProblem) NewWorkspace() *EvalWorkspace {
-	return newWorkspace(dp.kernel(), nil)
 }
 
 // NewWorkspaceShards returns a workspace whose state is split into

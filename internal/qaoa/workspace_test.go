@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"qaoaml/internal/graph"
-	"qaoaml/internal/quantum"
+	"qaoaml/internal/problem"
 )
 
 func maxStateDiff(t *testing.T, a, b interface {
@@ -62,7 +62,7 @@ func TestWorkspaceExpectationMatchesGateCircuit(t *testing.T) {
 		pr := randomParams(rng, 1+rng.Intn(3))
 		ws := pb.NewWorkspace()
 		got := ws.Expectation(pr)
-		ref := pb.BuildCircuit(pr).Simulate().ExpectationDiagonal(pb.CutTable)
+		ref := pb.BuildCircuit(pr).Simulate().ExpectationDiagonal(g.WeightedCutTable())
 		if math.Abs(got-ref) > 1e-12 {
 			t.Fatalf("trial %d: workspace ⟨C⟩ = %v, gate circuit %v", trial, got, ref)
 		}
@@ -105,16 +105,13 @@ func TestNegExpectationZeroAllocs(t *testing.T) {
 	}
 }
 
+// The same holds off MaxCut: a compiled partition instance.
 func TestDiagonalNegExpectationZeroAllocs(t *testing.T) {
-	dp, err := NumberPartitionProblem([]float64{3, 1, 4, 1, 5, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := dp.NewEvaluator(2)
+	ev := NewEvaluator(mustNew(t, problem.Partition([]float64{3, 1, 4, 1, 5, 9})), 2)
 	x := []float64{0.4, 1.1, 0.3, 0.8}
 	_ = ev.NegExpectation(x)
 	if allocs := testing.AllocsPerRun(50, func() { _ = ev.NegExpectation(x) }); allocs != 0 {
-		t.Errorf("diagonal NegExpectation allocates %v objects per call, want 0", allocs)
+		t.Errorf("partition NegExpectation allocates %v objects per call, want 0", allocs)
 	}
 }
 
@@ -131,8 +128,8 @@ func TestKernelCompressesDistinctCuts(t *testing.T) {
 	if max := g.NumEdges() + 1; len(k.halfAngles) > max {
 		t.Errorf("kernel has %d distinct phase angles, want ≤ %d", len(k.halfAngles), max)
 	}
-	if len(k.idx) != len(pb.CutTable) {
-		t.Errorf("kernel index table length %d != cut table length %d", len(k.idx), len(pb.CutTable))
+	if len(k.idx) != 1<<uint(g.N) {
+		t.Errorf("kernel index table length %d != 2^%d", len(k.idx), g.N)
 	}
 }
 
@@ -174,37 +171,4 @@ func TestBatchEvaluatorWrongDimPanics(t *testing.T) {
 		}
 	}()
 	be.EvalBatch([][]float64{{1, 2, 3}})
-}
-
-// ConstrainedState must be unchanged by the indexed-phase rewrite: it
-// stays within the initial Hamming-weight sector and matches a direct
-// phase-table reference.
-func TestConstrainedStateStillMatchesPhaseTable(t *testing.T) {
-	dp, err := NumberPartitionProblem([]float64{2, 3, 5, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := Params{Gamma: []float64{0.37, 0.81}, Beta: []float64{0.55, 0.21}}
-	got := dp.ConstrainedState(pr, 0b0011)
-	// Reference: explicit per-amplitude phase tables + XY ring.
-	ref := quantum.NewBasisState(dp.N, 0b0011)
-	phases := make([]float64, len(dp.Diag))
-	for stage := 0; stage < pr.Depth(); stage++ {
-		for z := range phases {
-			phases[z] = -pr.Gamma[stage] * dp.Diag[z]
-		}
-		ref.ApplyDiagonalPhase(phases)
-		for q := 0; q < dp.N; q++ {
-			ref.XY(q, (q+1)%dp.N, pr.Beta[stage])
-		}
-	}
-	worst := 0.0
-	for z := 0; z < got.Dim(); z++ {
-		if d := cmplx.Abs(got.Amplitude(uint64(z)) - ref.Amplitude(uint64(z))); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-12 {
-		t.Errorf("constrained state differs from reference by %v", worst)
-	}
 }
