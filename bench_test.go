@@ -47,7 +47,7 @@ var (
 
 func benchEnv(b *testing.B) *experiments.Env {
 	b.Helper()
-	benchEnvOnce.Do(func() { benchEnvVal, benchEnvErr = experiments.NewEnv(benchScale()) })
+	benchEnvOnce.Do(func() { benchEnvVal, benchEnvErr = experiments.NewEnvCtx(context.Background(), benchScale(), nil) })
 	if benchEnvErr != nil {
 		b.Fatal(benchEnvErr)
 	}
@@ -76,9 +76,9 @@ func BenchmarkTable1(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunTable1(env)
-		if len(res.Rows) == 0 {
-			b.Fatal("empty table")
+		res, err := experiments.RunTable1(context.Background(), env)
+		if err != nil || len(res.Rows) == 0 {
+			b.Fatalf("bad result (%v)", err)
 		}
 	}
 }
@@ -249,13 +249,15 @@ func BenchmarkTwoLevelVsNaive(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(10))
 		for i := 0; i < b.N; i++ {
-			_ = core.NaiveRun(pb, 3, opt, rng)
+			if _, err := core.NaiveRunArena(context.Background(), nil, pb, 3, opt, rng, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("twolevel", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(10))
 		for i := 0; i < b.N; i++ {
-			if _, err := core.TwoLevel(pb, 3, opt, env.Predictor, rng); err != nil {
+			if _, err := core.TwoLevelArena(context.Background(), nil, pb, 3, opt, env.Predictor, rng, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -341,7 +343,7 @@ func BenchmarkHierarchical(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunHierarchical(env)
+		res, err := experiments.RunHierarchical(context.Background(), env)
 		if err != nil || len(res.Rows) == 0 {
 			b.Fatalf("bad result (%v)", err)
 		}

@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -76,7 +77,10 @@ func run(file string, depth int, optName string, starts int, seed int64, tol flo
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	rec := core.OptimizeDepth(pb, 0, depth, starts, opt, rng)
+	rec, err := core.OptimizeDepthCtx(context.Background(), pb, 0, depth, starts, opt, rng, nil)
+	if err != nil {
+		return err
+	}
 	cut, assign := pb.BestSampledCut(rec.Params)
 
 	if quiet {

@@ -511,7 +511,14 @@ func (r *Report) wallclocks(timeout time.Duration, workers int, rec telemetry.Re
 			}
 			fatal(err)
 		}
-		res := experiments.RunTable1(env)
+		res, err := experiments.RunTable1(ctx, env)
+		if err != nil {
+			if errors.Is(err, context.DeadlineExceeded) {
+				fmt.Fprintln(os.Stderr, "qaoabench: timeout reached during table1")
+				return 0
+			}
+			fatal(err)
+		}
 		nfev := 0
 		for _, row := range res.Rows {
 			nfev += int(row.NaiveMeanFC) + int(row.TwoMeanFC)

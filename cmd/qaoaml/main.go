@@ -133,6 +133,7 @@ func run(ctx context.Context, name string, cfg RunConfig, mem *telemetry.Memory)
 		if err != nil {
 			return err
 		}
+		env.Recorder = rec
 		if cfg.SaveData != "" {
 			if err := env.Data.SaveFile(cfg.SaveData); err != nil {
 				return err
@@ -178,7 +179,11 @@ func run(ctx context.Context, name string, cfg RunConfig, mem *telemetry.Memory)
 	case "datagen":
 		printDatagenSummary(env)
 	case "table1":
-		return finish(start, report("table1", experiments.RunTable1(env)))
+		res, err := experiments.RunTable1(ctx, env)
+		if err != nil {
+			return err
+		}
+		return finish(start, report("table1", res))
 	case "fig1c":
 		return finish(start, report("fig1c", experiments.RunFig1c(scale.MaxTarget, scale.Starts, scale.Seed)))
 	case "fig2":
@@ -196,13 +201,17 @@ func run(ctx context.Context, name string, cfg RunConfig, mem *telemetry.Memory)
 		}
 		return finish(start, report("mlcmp", res))
 	case "hier":
-		res, err := experiments.RunHierarchical(env)
+		res, err := experiments.RunHierarchical(ctx, env)
 		if err != nil {
 			return err
 		}
 		return finish(start, report("hier", res))
 	case "spsa":
-		return finish(start, report("spsa", experiments.RunSPSAExtension(env)))
+		res, err := experiments.RunSPSAExtension(ctx, env)
+		if err != nil {
+			return err
+		}
+		return finish(start, report("spsa", res))
 	case "noise":
 		return finish(start, report("noise", experiments.RunNoiseSweep(scale.MaxTarget, 4, 200, scale.Seed)))
 	case "all":
@@ -230,7 +239,7 @@ func run(ctx context.Context, name string, cfg RunConfig, mem *telemetry.Memory)
 			return err
 		}
 		if env.Scale.MaxDepth >= 3 {
-			hres, err := experiments.RunHierarchical(env)
+			hres, err := experiments.RunHierarchical(ctx, env)
 			if err != nil {
 				return err
 			}
@@ -238,7 +247,11 @@ func run(ctx context.Context, name string, cfg RunConfig, mem *telemetry.Memory)
 				return err
 			}
 		}
-		if err := report("table1", experiments.RunTable1(env)); err != nil {
+		tres, err := experiments.RunTable1(ctx, env)
+		if err != nil {
+			return err
+		}
+		if err := report("table1", tres); err != nil {
 			return err
 		}
 	default:

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -53,10 +54,14 @@ func main() {
 	rng := rand.New(rand.NewSource(99))
 
 	fmt.Println("pt  naive FC  naive AR  two-level FC  two-level AR  FC reduction")
+	ctx := context.Background()
 	var last core.TwoLevelResult
 	for pt := 2; pt <= cfg.MaxDepth; pt++ {
-		naive := core.NaiveRun(pb, pt, opt, rng)
-		two, err := core.TwoLevel(pb, pt, opt, pred, rng)
+		naive, err := core.NaiveRunArena(ctx, nil, pb, pt, opt, rng, nil)
+		if err != nil {
+			panic(err)
+		}
+		two, err := core.TwoLevelArena(ctx, nil, pb, pt, opt, pred, rng, nil)
 		if err != nil {
 			panic(err)
 		}

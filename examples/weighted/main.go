@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -45,7 +46,10 @@ func main() {
 
 	rng := rand.New(rand.NewSource(11))
 	opt := &optimize.LBFGSB{Tol: 1e-6}
-	rec := core.OptimizeDepth(pb, 0, 2, 10, opt, rng)
+	rec, err := core.OptimizeDepthCtx(context.Background(), pb, 0, 2, 10, opt, rng, nil)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("QAOA depth 2, 10 starts: ⟨C⟩ = %.4f (AR %.4f), %d QC calls\n",
 		pb.Expectation(rec.Params), rec.AR, rec.NFev)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -234,9 +235,12 @@ func TestNaiveRun(t *testing.T) {
 	data := testData(t)
 	rng := rand.New(rand.NewSource(2))
 	opt := &optimize.LBFGSB{Tol: 1e-6}
-	r := NaiveRun(data.Problems[0], 2, opt, rng)
+	r, err := NaiveRunArena(context.Background(), nil, data.Problems[0], 2, opt, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.NFev <= 0 || r.AR <= 0 || r.AR > 1+1e-9 {
-		t.Errorf("NaiveRun = %+v", r)
+		t.Errorf("NaiveRunArena = %+v", r)
 	}
 	if r.Params.Depth() != 2 {
 		t.Errorf("depth = %d", r.Params.Depth())
@@ -253,7 +257,7 @@ func TestTwoLevelFlow(t *testing.T) {
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	rng := rand.New(rand.NewSource(3))
 	pb := data.Problems[test[0]]
-	res, err := TwoLevel(pb, 3, opt, pred, rng)
+	res, err := TwoLevelArena(context.Background(), nil, pb, 3, opt, pred, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +273,7 @@ func TestTwoLevelFlow(t *testing.T) {
 	if err := res.Predicted.Validate(true); err != nil {
 		t.Errorf("predicted init out of domain: %v", err)
 	}
-	if _, err := TwoLevel(pb, 1, opt, pred, rng); err == nil {
+	if _, err := TwoLevelArena(context.Background(), nil, pb, 1, opt, pred, rng, nil); err == nil {
 		t.Error("target depth 1 accepted")
 	}
 }
@@ -292,8 +296,11 @@ func TestTwoLevelReducesFunctionCalls(t *testing.T) {
 		pb := data.Problems[g]
 		rng := rand.New(rand.NewSource(int64(100 + g)))
 		for rep := 0; rep < 3; rep++ {
-			nv := NaiveRun(pb, pt, opt, rng)
-			tl, err := TwoLevel(pb, pt, opt, pred, rng)
+			nv, err := NaiveRunArena(context.Background(), nil, pb, pt, opt, rng, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl, err := TwoLevelArena(context.Background(), nil, pb, pt, opt, pred, rng, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,20 +326,10 @@ func TestTwoLevelReducesFunctionCalls(t *testing.T) {
 }
 
 func TestHierarchicalFlow(t *testing.T) {
-	data := testData(t)
-	train, test := data.SplitIndices(0.5, 1)
-	pred := NewPredictor(nil)
-	hpred := NewHierPredictor(nil)
-	if err := pred.Train(data, train); err != nil {
-		t.Fatal(err)
-	}
-	if err := hpred.Train(data, train); err != nil {
-		t.Fatal(err)
-	}
+	pb, pred, hpred := trainedPredictors(t)
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	rng := rand.New(rand.NewSource(5))
-	pb := data.Problems[test[0]]
-	res, err := Hierarchical(pb, 3, opt, pred, hpred, rng)
+	res, err := Hierarchical(context.Background(), nil, pb, 3, opt, pred, hpred, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +342,7 @@ func TestHierarchicalFlow(t *testing.T) {
 	if res.Level3.Params.Depth() != 3 {
 		t.Error("final depth wrong")
 	}
-	if _, err := Hierarchical(pb, 2, opt, pred, hpred, rng); err == nil {
+	if _, err := Hierarchical(context.Background(), nil, pb, 2, opt, pred, hpred, rng, nil); err == nil {
 		t.Error("hierarchical target depth 2 accepted")
 	}
 }
@@ -440,8 +437,9 @@ func TestOptimizeDepthSeedAccounting(t *testing.T) {
 
 	// Same RNG stream: with a seed leg, the first random start is
 	// replaced, so the run count is identical but the trajectories differ.
-	recPlain := OptimizeDepth(pb, 0, 2, 3, opt, rand.New(rand.NewSource(9)))
-	recSeeded := OptimizeDepth(pb, 0, 2, 3, opt, rand.New(rand.NewSource(9)), seed)
+	ctx := context.Background()
+	recPlain, _ := OptimizeDepthCtx(ctx, pb, 0, 2, 3, opt, rand.New(rand.NewSource(9)), nil)
+	recSeeded, _ := OptimizeDepthCtx(ctx, pb, 0, 2, 3, opt, rand.New(rand.NewSource(9)), nil, seed)
 	if recPlain.NFev <= 0 || recSeeded.NFev <= 0 {
 		t.Fatal("no evaluations")
 	}
@@ -453,8 +451,8 @@ func TestOptimizeDepthSeedAccounting(t *testing.T) {
 	}
 	// With starts=1 and a seed, the single leg is the seed itself:
 	// deterministic regardless of the RNG.
-	a := OptimizeDepth(pb, 0, 2, 1, opt, rand.New(rand.NewSource(1)), seed)
-	b := OptimizeDepth(pb, 0, 2, 1, opt, rand.New(rand.NewSource(2)), seed)
+	a, _ := OptimizeDepthCtx(ctx, pb, 0, 2, 1, opt, rand.New(rand.NewSource(1)), nil, seed)
+	b, _ := OptimizeDepthCtx(ctx, pb, 0, 2, 1, opt, rand.New(rand.NewSource(2)), nil, seed)
 	if a.NegF != b.NegF || a.NFev != b.NFev {
 		t.Error("seed-only run not deterministic across RNGs")
 	}
@@ -467,7 +465,7 @@ func TestOptimizeDepthClipsSeeds(t *testing.T) {
 	pb := data.Problems[1]
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	wild := qaoa.Params{Gamma: []float64{99, -7}, Beta: []float64{42, -1}}
-	rec := OptimizeDepth(pb, 1, 2, 2, opt, rand.New(rand.NewSource(3)), wild)
+	rec, _ := OptimizeDepthCtx(context.Background(), pb, 1, 2, 2, opt, rand.New(rand.NewSource(3)), nil, wild)
 	if err := rec.Params.Validate(true); err != nil {
 		t.Errorf("result out of domain: %v", err)
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -134,9 +136,9 @@ func TestNaiveRunCtxCancelled(t *testing.T) {
 	data := testData(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := NaiveRunCtx(ctx, data.Problems[0], 2, &optimize.LBFGSB{}, rand.New(rand.NewSource(1)), nil)
+	r, err := NaiveRunArena(ctx, nil, data.Problems[0], 2, &optimize.LBFGSB{}, rand.New(rand.NewSource(1)), nil)
 	if err == nil {
-		t.Fatal("cancelled NaiveRunCtx returned nil error")
+		t.Fatal("cancelled NaiveRunArena returned nil error")
 	}
 	if r.NFev > 1 {
 		t.Errorf("pre-cancelled run spent %d evaluations", r.NFev)
@@ -156,18 +158,19 @@ func TestTwoLevelCtxSpansAndCancellation(t *testing.T) {
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	pb := data.Problems[test[0]]
 
-	// Full run: all three flow spans recorded, result matches TwoLevel.
+	// Full run: all three flow spans recorded, result matches the
+	// untraced run.
 	mem := telemetry.NewMemory()
-	res, err := TwoLevelCtx(context.Background(), pb, 3, opt, pred, rand.New(rand.NewSource(3)), mem)
+	res, err := TwoLevelArena(context.Background(), nil, pb, 3, opt, pred, rand.New(rand.NewSource(3)), mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := TwoLevel(pb, 3, opt, pred, rand.New(rand.NewSource(3)))
+	want, err := TwoLevelArena(context.Background(), nil, pb, 3, opt, pred, rand.New(rand.NewSource(3)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TotalNFev != want.TotalNFev || res.AR() != want.AR() {
-		t.Errorf("TwoLevelCtx diverged from TwoLevel: %d/%v vs %d/%v",
+		t.Errorf("traced TwoLevelArena diverged from untraced: %d/%v vs %d/%v",
 			res.TotalNFev, res.AR(), want.TotalNFev, want.AR())
 	}
 	snap := mem.Snapshot()
@@ -181,12 +184,60 @@ func TestTwoLevelCtxSpansAndCancellation(t *testing.T) {
 	// partial result and a non-nil error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	partial, err := TwoLevelCtx(ctx, pb, 3, opt, pred, rand.New(rand.NewSource(3)), nil)
+	partial, err := TwoLevelArena(ctx, nil, pb, 3, opt, pred, rand.New(rand.NewSource(3)), nil)
 	if err == nil {
-		t.Fatal("cancelled TwoLevelCtx returned nil error")
+		t.Fatal("cancelled TwoLevelArena returned nil error")
 	}
 	if partial.TotalNFev > 1 || partial.Level2.NFev != 0 {
 		t.Errorf("cancelled flow kept optimizing: %+v", partial)
+	}
+}
+
+// trainedPredictors trains the two-level and hierarchical predictors
+// on half of the test dataset and returns a held-out problem.
+func trainedPredictors(t *testing.T) (*qaoa.Problem, *Predictor, *HierPredictor) {
+	t.Helper()
+	data := testData(t)
+	train, test := data.SplitIndices(0.5, 1)
+	pred, hpred := NewPredictor(nil), NewHierPredictor(nil)
+	if err := pred.Train(data, train); err != nil {
+		t.Fatal(err)
+	}
+	if err := hpred.Train(data, train); err != nil {
+		t.Fatal(err)
+	}
+	return data.Problems[test[0]], pred, hpred
+}
+
+// Hierarchical's depth-1 and depth-2 stages are the two-level flow at
+// target depth 2: same rng draw, same predicted init, same bits.
+func TestHierarchicalStagesMatchTwoLevel(t *testing.T) {
+	pb, pred, hpred := trainedPredictors(t)
+	opt := &optimize.LBFGSB{Tol: 1e-6}
+	hier, err := Hierarchical(context.Background(), nil, pb, 3, opt, pred, hpred, rand.New(rand.NewSource(5)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := TwoLevelArena(context.Background(), nil, pb, 2, opt, pred, rand.New(rand.NewSource(5)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hier.Level1, two.Level1) || !reflect.DeepEqual(hier.Level2, two.Level2) {
+		t.Errorf("hierarchical stages diverge from two-level at pt=2:\nhier %+v %+v\ntwo  %+v %+v",
+			hier.Level1, hier.Level2, two.Level1, two.Level2)
+	}
+}
+
+func TestHierarchicalCancelled(t *testing.T) {
+	pb, pred, hpred := trainedPredictors(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Hierarchical(ctx, nil, pb, 3, &optimize.LBFGSB{}, pred, hpred, rand.New(rand.NewSource(5)), nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Hierarchical returned %v, want %v", err, context.Canceled)
+	}
+	if res.TotalNFev > 1 || res.Level2.NFev != 0 || res.Level3.NFev != 0 {
+		t.Errorf("cancelled flow kept optimizing: %+v", res)
 	}
 }
 

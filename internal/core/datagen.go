@@ -147,25 +147,21 @@ func ParamBounds(p int) *optimize.Bounds {
 	return optimize.NewBounds(lo, hi)
 }
 
-// OptimizeDepth finds the best depth-p parameters for a problem by
+// OptimizeDepthCtx finds the best depth-p parameters for a problem by
 // multistart local optimization and returns a Record. Any seed params
 // (e.g. the INTERP initialization from the previous depth) replace the
 // same number of random starts, so the total start count is unchanged.
-func OptimizeDepth(pb *qaoa.Problem, graphID, depth, starts int, opt optimize.Optimizer, rng *rand.Rand, seeds ...qaoa.Params) Record {
-	rec, _ := OptimizeDepthCtx(context.Background(), pb, graphID, depth, starts, opt, rng, nil, seeds...)
-	return rec
-}
-
-// OptimizeDepthCtx is OptimizeDepth with cancellation and telemetry:
-// each start runs through optimize.Run with ctx and rec, so deadlines
-// take effect within one optimizer step. On cancellation it returns the
-// best-of-completed-starts record (zero Record if no start finished)
-// together with ctx.Err(); the partially spent NFev is still counted.
+// Each start runs through optimize.Run with ctx and rec (nil is
+// telemetry.Nop), so deadlines take effect within one optimizer step.
+// On cancellation it returns the best-of-completed-starts record (zero
+// Record if no start finished) together with ctx.Err(); the partially
+// spent NFev is still counted.
 func OptimizeDepthCtx(ctx context.Context, pb *qaoa.Problem, graphID, depth, starts int, opt optimize.Optimizer, rng *rand.Rand, rec telemetry.Recorder, seeds ...qaoa.Params) (Record, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ev := qaoa.NewEvaluator(pb, depth)
+	defer ev.Release()
 	bounds := ParamBounds(depth)
 	points := make([][]float64, 0, starts)
 	for _, s := range seeds {
@@ -182,6 +178,7 @@ func OptimizeDepthCtx(ctx context.Context, pb *qaoa.Problem, graphID, depth, sta
 	// batch evaluator stays wired up for optimizers that still probe
 	// finite-difference stencils.
 	be := qaoa.NewBatchEvaluator(pb, depth, 0)
+	defer be.Release()
 	var best optimize.Result
 	completed, totalNFev := 0, 0
 	for _, x0 := range points {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qaoaml/internal/graph"
 	"qaoaml/internal/optimize"
 	"qaoaml/internal/problem"
 	"qaoaml/internal/qaoa"
@@ -81,29 +82,30 @@ func TestGenerateFamilyDeterministic(t *testing.T) {
 	}
 }
 
-// The spec entry points must be bit-identical to the direct problem
-// variants for MaxCut (same construction path inside qaoa.New).
+// A MaxCut spec compiled through qaoa.New must run the flows
+// bit-identically to the direct qaoa.NewProblem construction (qaoa.New
+// routes MaxCut specs through NewProblem).
 func TestSpecEntryPointsMatchDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	spec, err := problem.RandomSpec(problem.FamilyMaxCut, 6, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.ErdosRenyiConnected(6, 0.5, rand.New(rand.NewSource(9)))
 	opt := &optimize.LBFGSB{Tol: 1e-6}
-	pb, err := qaoa.New(spec)
+	direct, err := qaoa.NewProblem(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := NaiveRunCtx(context.Background(), pb, 2, opt, rand.New(rand.NewSource(3)), nil)
+	viaSpec, err := qaoa.New(problem.MaxCut(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSpec, err := NaiveRunSpec(context.Background(), spec, 2, opt, rand.New(rand.NewSource(3)), nil)
+	want, err := NaiveRunArena(context.Background(), nil, direct, 2, opt, rand.New(rand.NewSource(3)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct.AR != viaSpec.AR || direct.NFev != viaSpec.NFev {
-		t.Errorf("spec entry point diverges: AR %v vs %v, NFev %d vs %d",
-			viaSpec.AR, direct.AR, viaSpec.NFev, direct.NFev)
+	got, err := NaiveRunArena(context.Background(), nil, viaSpec, 2, opt, rand.New(rand.NewSource(3)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.AR != want.AR || got.NFev != want.NFev {
+		t.Errorf("spec-built problem diverges: AR %v vs %v, NFev %d vs %d",
+			got.AR, want.AR, got.NFev, want.NFev)
 	}
 }

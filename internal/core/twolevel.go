@@ -18,42 +18,40 @@ type RunResult struct {
 	NFev   int // QC calls for this run
 }
 
-// NaiveRun solves the depth-pt instance from one random initialization
-// (the paper's baseline QCR flow, Fig. 1(a)).
-func NaiveRun(pb *qaoa.Problem, pt int, opt optimize.Optimizer, rng *rand.Rand) RunResult {
-	r, _ := NaiveRunCtx(context.Background(), pb, pt, opt, rng, nil)
-	return r
-}
+// Every flow below is context-first with a nil-able arena and a
+// nil-able recorder: ctx threads into each optimizer run, so a cancel
+// or deadline takes effect within one optimizer step; the arena (nil
+// allocates fresh) only changes where the evaluation workspaces' 2^n
+// state buffers come from, never what the kernels compute; rec (nil is
+// telemetry.Nop) receives the flow spans and optimizer traces. On
+// cancellation a flow returns the stages completed so far, the last
+// one holding its optimizer's incumbent, together with ctx.Err().
 
-// NaiveRunCtx is NaiveRun with cancellation and telemetry. On
-// cancellation it returns the optimizer's incumbent (canonicalized)
-// with ctx.Err(), so the partial result is still usable.
-func NaiveRunCtx(ctx context.Context, pb *qaoa.Problem, pt int, opt optimize.Optimizer, rng *rand.Rand, rec telemetry.Recorder) (RunResult, error) {
-	return NaiveRunArena(ctx, nil, pb, pt, opt, rng, rec)
-}
-
-// NaiveRunArena is NaiveRunCtx drawing every evaluation workspace's
-// state buffers from the arena (nil behaves like NaiveRunCtx), so a
-// serving loop reuses its 2^n vectors across runs instead of
-// reallocating per request. Results are bit-identical to NaiveRunCtx:
-// the arena only changes where buffers come from, never what the
-// kernels compute.
-func NaiveRunArena(ctx context.Context, arena *qaoa.Arena, pb *qaoa.Problem, pt int, opt optimize.Optimizer, rng *rand.Rand, rec telemetry.Recorder) (RunResult, error) {
-	ev := qaoa.NewEvaluatorArena(pb, pt, arena)
+// runLevel optimizes the depth-p instance from x0 and returns the
+// canonicalized optimum with its approximation ratio and QC-call cost.
+// cancelled reports that ctx stopped the optimizer, in which case the
+// result holds the incumbent.
+func runLevel(ctx context.Context, arena *qaoa.Arena, pb *qaoa.Problem, p int, x0 []float64, opt optimize.Optimizer, rec telemetry.Recorder) (res RunResult, cancelled bool) {
+	ev := qaoa.NewEvaluatorArena(pb, p, arena)
 	defer ev.Release()
-	bounds := ParamBounds(pt)
-	be := qaoa.NewBatchEvaluatorArena(pb, pt, 0, arena)
+	be := qaoa.NewBatchEvaluatorArena(pb, p, 0, arena)
 	defer be.Release()
-	r := optimize.Run(ctx, optimize.Problem{F: ev.NegExpectation, Batch: be.EvalBatch, Grad: ev.NegGrad, X0: bounds.Random(rng), Bounds: bounds},
+	r := optimize.Run(ctx, optimize.Problem{F: ev.NegExpectation, Batch: be.EvalBatch, Grad: ev.NegGrad, X0: x0, Bounds: ParamBounds(p)},
 		optimize.Options{Optimizer: opt, Recorder: rec})
 	// Canonical form keeps downstream feature extraction consistent
 	// with the (canonicalized) training dataset.
 	params := pb.Canonicalize(qaoa.FromVector(r.X))
-	var err error
-	if r.Status == optimize.Cancelled {
-		err = ctx.Err()
+	return RunResult{Params: params, AR: ev.ApproximationRatio(params), NFev: r.NFev}, r.Status == optimize.Cancelled
+}
+
+// NaiveRunArena solves the depth-pt instance from one random
+// initialization (the paper's baseline QCR flow, Fig. 1(a)).
+func NaiveRunArena(ctx context.Context, arena *qaoa.Arena, pb *qaoa.Problem, pt int, opt optimize.Optimizer, rng *rand.Rand, rec telemetry.Recorder) (RunResult, error) {
+	r, cancelled := runLevel(ctx, arena, pb, pt, ParamBounds(pt).Random(rng), opt, rec)
+	if cancelled {
+		return r, ctx.Err()
 	}
-	return RunResult{Params: params, AR: ev.ApproximationRatio(params), NFev: r.NFev}, err
+	return r, nil
 }
 
 // TwoLevelResult is the outcome of the paper's Fig. 4 flow: the depth-1
@@ -68,75 +66,46 @@ type TwoLevelResult struct {
 // AR returns the final approximation ratio (of the level-2 solution).
 func (t TwoLevelResult) AR() float64 { return t.Level2.AR }
 
-// TwoLevel runs the two-level flow of Fig. 4 on one problem:
+// TwoLevelArena runs the two-level flow of Fig. 4 on one problem:
 //
 //	level 1: optimize the p = 1 instance from a random initialization;
 //	level 2: predict the 2·pt target-depth parameters from
 //	         (γ1OPT(p=1), β1OPT(p=1), pt) and finish with the local
 //	         optimizer from that initialization.
 //
-// The returned TotalNFev counts both levels, as the paper does.
-func TwoLevel(pb *qaoa.Problem, pt int, opt optimize.Optimizer, pred *Predictor, rng *rand.Rand) (TwoLevelResult, error) {
-	return TwoLevelCtx(context.Background(), pb, pt, opt, pred, rng, nil)
-}
-
-// TwoLevelCtx is TwoLevel with cancellation and telemetry. Each stage
-// runs under a flow span ("twolevel.level1", "twolevel.predict",
-// "twolevel.level2") on rec, and the context is threaded into both
-// optimizer runs so a cancel or deadline takes effect within one
-// optimizer step. On cancellation it returns the stages completed so
-// far — Level1 alone, or Level1 plus the level-2 incumbent — together
-// with ctx.Err(); TotalNFev always counts the QC calls actually spent.
-func TwoLevelCtx(ctx context.Context, pb *qaoa.Problem, pt int, opt optimize.Optimizer, pred *Predictor, rng *rand.Rand, rec telemetry.Recorder) (TwoLevelResult, error) {
-	return TwoLevelArena(ctx, nil, pb, pt, opt, pred, rng, rec)
-}
-
-// TwoLevelArena is TwoLevelCtx drawing every evaluation workspace's
-// state buffers from the arena (nil behaves like TwoLevelCtx); see
-// NaiveRunArena. Both levels share the arena — the depth-1 and
-// depth-pt workspaces are the same register width, so level 2 reuses
-// level 1's buffers.
+// Each stage runs under a flow span ("twolevel.level1",
+// "twolevel.predict", "twolevel.level2"). TotalNFev counts the QC calls
+// of both levels, as the paper does, including those spent before a
+// cancellation. Both levels share the arena: the depth-1 and depth-pt
+// workspaces are the same register width, so level 2 reuses level 1's
+// buffers.
 func TwoLevelArena(ctx context.Context, arena *qaoa.Arena, pb *qaoa.Problem, pt int, opt optimize.Optimizer, pred *Predictor, rng *rand.Rand, rec telemetry.Recorder) (TwoLevelResult, error) {
 	if pt < 2 {
 		return TwoLevelResult{}, fmt.Errorf("core: two-level target depth %d < 2", pt)
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	r := telemetry.OrNop(rec)
 
 	end := r.Span("twolevel.level1")
 	level1, err := NaiveRunArena(ctx, arena, pb, 1, opt, rng, r)
 	end()
+	out := TwoLevelResult{Level1: level1, TotalNFev: level1.NFev}
 	if err != nil {
-		return TwoLevelResult{Level1: level1, TotalNFev: level1.NFev}, err
+		return out, err
 	}
 
 	end = r.Span("twolevel.predict")
 	init, err := pred.Predict(FeaturesFromParams(level1.Params, pt))
 	end()
 	if err != nil {
-		return TwoLevelResult{Level1: level1, TotalNFev: level1.NFev}, err
+		return out, err
 	}
 
 	end = r.Span("twolevel.level2")
-	ev := qaoa.NewEvaluatorArena(pb, pt, arena)
-	defer ev.Release()
-	bounds := ParamBounds(pt)
-	be := qaoa.NewBatchEvaluatorArena(pb, pt, 0, arena)
-	defer be.Release()
-	res := optimize.Run(ctx, optimize.Problem{F: ev.NegExpectation, Batch: be.EvalBatch, Grad: ev.NegGrad, X0: init.Vector(), Bounds: bounds},
-		optimize.Options{Optimizer: opt, Recorder: r})
+	level2, cancelled := runLevel(ctx, arena, pb, pt, init.Vector(), opt, r)
 	end()
-	params := pb.Canonicalize(qaoa.FromVector(res.X))
-	level2 := RunResult{Params: params, AR: ev.ApproximationRatio(params), NFev: res.NFev}
-	out := TwoLevelResult{
-		Level1:    level1,
-		Predicted: init,
-		Level2:    level2,
-		TotalNFev: level1.NFev + level2.NFev,
-	}
-	if res.Status == optimize.Cancelled {
+	out.Predicted, out.Level2 = init, level2
+	out.TotalNFev += level2.NFev
+	if cancelled {
 		return out, ctx.Err()
 	}
 	return out, nil
@@ -156,47 +125,28 @@ type HierarchicalResult struct {
 // AR returns the final approximation ratio.
 func (h HierarchicalResult) AR() float64 { return h.Level3.AR }
 
-// Hierarchical runs the Sec. I(d) hierarchical variant for pt ≥ 3:
-// the intermediate depth-2 instance is itself ML-initialized (via the
-// two-level predictor), and its optimum joins the depth-1 optimum as
-// features for the hierarchical predictor of the target depth.
-func Hierarchical(pb *qaoa.Problem, pt int, opt optimize.Optimizer, pred *Predictor, hpred *HierPredictor, rng *rand.Rand) (HierarchicalResult, error) {
+// Hierarchical runs the Sec. I(d) hierarchical variant for pt ≥ 3: its
+// depth-1 and depth-2 stages are the two-level flow at target depth 2
+// (the intermediate instance is itself ML-initialized by pred), and
+// both optima then feed the hierarchical predictor of the target depth.
+func Hierarchical(ctx context.Context, arena *qaoa.Arena, pb *qaoa.Problem, pt int, opt optimize.Optimizer, pred *Predictor, hpred *HierPredictor, rng *rand.Rand, rec telemetry.Recorder) (HierarchicalResult, error) {
 	if pt < 3 {
 		return HierarchicalResult{}, fmt.Errorf("core: hierarchical target depth %d < 3", pt)
 	}
-	level1 := NaiveRun(pb, 1, opt, rng)
-
-	// Intermediate stage: depth 2 with two-level initialization.
-	init2, err := pred.Predict(FeaturesFromParams(level1.Params, 2))
+	two, err := TwoLevelArena(ctx, arena, pb, 2, opt, pred, rng, rec)
+	out := HierarchicalResult{Level1: two.Level1, Level2: two.Level2, TotalNFev: two.TotalNFev}
 	if err != nil {
-		return HierarchicalResult{}, err
+		return out, err
 	}
-	ev2 := qaoa.NewEvaluator(pb, 2)
-	be2 := qaoa.NewBatchEvaluator(pb, 2, 0)
-	r2 := optimize.Run(context.Background(),
-		optimize.Problem{F: ev2.NegExpectation, Batch: be2.EvalBatch, Grad: ev2.NegGrad, X0: init2.Vector(), Bounds: ParamBounds(2)},
-		optimize.Options{Optimizer: opt})
-	p2 := pb.Canonicalize(qaoa.FromVector(r2.X))
-	level2 := RunResult{Params: p2, AR: pb.ApproximationRatio(p2), NFev: r2.NFev}
-
-	// Target stage with hierarchical features.
-	initT, err := hpred.Predict(HierFeaturesFromParams(level1.Params, p2, pt))
+	initT, err := hpred.Predict(HierFeaturesFromParams(two.Level1.Params, two.Level2.Params, pt))
 	if err != nil {
-		return HierarchicalResult{}, err
+		return out, err
 	}
-	evT := qaoa.NewEvaluator(pb, pt)
-	beT := qaoa.NewBatchEvaluator(pb, pt, 0)
-	rT := optimize.Run(context.Background(),
-		optimize.Problem{F: evT.NegExpectation, Batch: beT.EvalBatch, Grad: evT.NegGrad, X0: initT.Vector(), Bounds: ParamBounds(pt)},
-		optimize.Options{Optimizer: opt})
-	pT := pb.Canonicalize(qaoa.FromVector(rT.X))
-	level3 := RunResult{Params: pT, AR: pb.ApproximationRatio(pT), NFev: rT.NFev}
-
-	return HierarchicalResult{
-		Level1:    level1,
-		Level2:    level2,
-		Predicted: initT,
-		Level3:    level3,
-		TotalNFev: level1.NFev + level2.NFev + level3.NFev,
-	}, nil
+	level3, cancelled := runLevel(ctx, arena, pb, pt, initT.Vector(), opt, rec)
+	out.Predicted, out.Level3 = initT, level3
+	out.TotalNFev += level3.NFev
+	if cancelled {
+		return out, ctx.Err()
+	}
+	return out, nil
 }

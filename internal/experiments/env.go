@@ -10,6 +10,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"qaoaml/internal/core"
 	"qaoaml/internal/ml"
@@ -95,18 +97,18 @@ type Env struct {
 	TrainIDs  []int
 	TestIDs   []int
 	Predictor *core.Predictor
+	// Recorder receives the flow spans and optimizer traces of the
+	// experiments run on this Env (nil is telemetry.Nop). It is shared
+	// by concurrent runs, so the sink must be thread-safe.
+	Recorder telemetry.Recorder
 }
 
-// NewEnv generates the dataset and trains the default (GPR) predictor.
-func NewEnv(s Scale) (*Env, error) {
-	return NewEnvCtx(context.Background(), s, nil)
-}
-
-// NewEnvCtx is NewEnv with cancellation and telemetry: the context and
-// recorder are threaded through dataset generation, so a deadline stops
-// the sweep within one optimizer step. Unlike core.GenerateCtx it does
-// not return a partial Env — an interrupted dataset cannot back a fair
-// experiment — so cancellation surfaces as an error.
+// NewEnvCtx generates the dataset and trains the default (GPR)
+// predictor. The context and recorder are threaded through dataset
+// generation, so a deadline stops the sweep within one optimizer step,
+// and rec is kept as the Env's Recorder. Unlike core.GenerateCtx it
+// does not return a partial Env — an interrupted dataset cannot back a
+// fair experiment — so cancellation surfaces as an error.
 func NewEnvCtx(ctx context.Context, s Scale, rec telemetry.Recorder) (*Env, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -126,7 +128,12 @@ func NewEnvCtx(ctx context.Context, s Scale, rec telemetry.Recorder) (*Env, erro
 	if err != nil {
 		return nil, fmt.Errorf("experiments: dataset generation: %w", err)
 	}
-	return NewEnvFromData(s, data)
+	env, err := NewEnvFromData(s, data)
+	if err != nil {
+		return nil, err
+	}
+	env.Recorder = rec
+	return env, nil
 }
 
 // NewEnvFromData builds an Env around an existing (e.g. loaded)
@@ -158,6 +165,39 @@ func (e *Env) testSubset() []int {
 		return e.TestIDs[:e.Scale.TestGraphs]
 	}
 	return e.TestIDs
+}
+
+// forEachTestGraph calls fn(ctx, k, g) for the k-th capped test graph
+// g, on at most GOMAXPROCS goroutines, and returns the first error any
+// call returned. That error cancels the ctx handed to the other calls,
+// so they stop within one optimizer step, and no graph starts once ctx
+// is done.
+func (e *Env) forEachTestGraph(ctx context.Context, fn func(ctx context.Context, k, g int) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for k, g := range e.testSubset() {
+		sem <- struct{}{}
+		if err := ctx.Err(); err != nil {
+			errOnce.Do(func() { firstErr = err })
+			break
+		}
+		wg.Add(1)
+		go func(k, g int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if err := fn(ctx, k, g); err != nil {
+				errOnce.Do(func() { firstErr = err; cancel() })
+			}
+		}(k, g)
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // Optimizers returns the paper's four local optimizers at tolerance

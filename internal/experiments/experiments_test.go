@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"qaoaml/internal/telemetry"
 )
 
 // testScale is small enough for the full experiment suite to run in a
@@ -32,7 +37,7 @@ var (
 
 func sharedEnv(t *testing.T) *Env {
 	t.Helper()
-	envOnce.Do(func() { envVal, envErr = NewEnv(testScale()) })
+	envOnce.Do(func() { envVal, envErr = NewEnvCtx(context.Background(), testScale(), nil) })
 	if envErr != nil {
 		t.Fatal(envErr)
 	}
@@ -71,6 +76,26 @@ func TestNewEnv(t *testing.T) {
 	}
 }
 
+// An expired deadline ends the Table I sweep with the deadline error
+// before any flow runs, instead of finishing the table.
+func TestRunTable1DeadlineExceeded(t *testing.T) {
+	env := *sharedEnv(t)
+	mem := telemetry.NewMemory()
+	env.Recorder = mem
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := RunTable1(ctx, &env)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunTable1 under an expired deadline returned %v, want %v", err, context.DeadlineExceeded)
+	}
+	if len(res.Rows) != 0 {
+		t.Errorf("expired sweep still reported %d rows", len(res.Rows))
+	}
+	if runs := mem.CounterValue("optimize.runs"); runs != 0 {
+		t.Errorf("expired sweep still ran %d optimizations", runs)
+	}
+}
+
 func TestOptimizersAndFactories(t *testing.T) {
 	if got := len(Optimizers()); got != 4 {
 		t.Errorf("optimizers = %d, want 4", got)
@@ -82,7 +107,10 @@ func TestOptimizersAndFactories(t *testing.T) {
 
 func TestRunTable1(t *testing.T) {
 	env := sharedEnv(t)
-	res := RunTable1(env)
+	res, err := RunTable1(context.Background(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// 4 optimizers × depths 2..3 = 8 rows.
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(res.Rows))
@@ -275,7 +303,7 @@ func TestRunModelComparison(t *testing.T) {
 
 func TestRunHierarchical(t *testing.T) {
 	env := sharedEnv(t)
-	res, err := RunHierarchical(env)
+	res, err := RunHierarchical(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +346,10 @@ func TestNewEnvFromData(t *testing.T) {
 
 func TestRunSPSAExtension(t *testing.T) {
 	env := sharedEnv(t)
-	res := RunSPSAExtension(env)
+	res, err := RunSPSAExtension(context.Background(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 2 { // depths 2..3
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -56,7 +57,7 @@ func RunFig1c(maxDepth, inits int, seed int64) Fig1cResult {
 		for gi, pb := range problems {
 			rng := rand.New(rand.NewSource(seed + int64(gi)*131 + int64(p)))
 			for k := 0; k < inits; k++ {
-				r := core.NaiveRun(pb, p, opt, rng)
+				r, _ := core.NaiveRunArena(context.Background(), nil, pb, p, opt, rng, nil)
 				ars = append(ars, r.AR)
 				fcs = append(fcs, float64(r.NFev))
 			}
@@ -121,7 +122,7 @@ func RunFig2(starts int, seed int64) Fig2Result {
 			if d > 1 {
 				seeds = append(seeds, qaoa.Interpolate(prev))
 			}
-			rec := core.OptimizeDepth(pb, gi, d, starts, opt, rng, seeds...)
+			rec, _ := core.OptimizeDepthCtx(context.Background(), pb, gi, d, starts, opt, rng, nil, seeds...)
 			prev = rec.Params
 			byDepth[d] = rec
 		}
@@ -177,7 +178,7 @@ func RunFig3(maxDepth, starts int, seed int64) Fig3Result {
 		if d > 1 {
 			seeds = append(seeds, qaoa.Interpolate(prev))
 		}
-		rec := core.OptimizeDepth(pb, 0, d, starts, opt, rng, seeds...)
+		rec, _ := core.OptimizeDepthCtx(context.Background(), pb, 0, d, starts, opt, rng, nil, seeds...)
 		prev = rec.Params
 		res.GammaByDepth = append(res.GammaByDepth, rec.Params.Gamma)
 		res.BetaByDepth = append(res.BetaByDepth, rec.Params.Beta)

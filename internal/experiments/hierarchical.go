@@ -1,11 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 
 	"qaoaml/internal/core"
 	"qaoaml/internal/optimize"
@@ -34,8 +33,10 @@ type HierResult struct {
 }
 
 // RunHierarchical evaluates naive vs two-level vs hierarchical with
-// L-BFGS-B for target depths 3..MaxTarget over the test graphs.
-func RunHierarchical(env *Env) (HierResult, error) {
+// L-BFGS-B for target depths 3..MaxTarget over the test graphs. The
+// first flow error, a cancel or deadline of ctx included, ends the
+// sweep and is returned.
+func RunHierarchical(ctx context.Context, env *Env) (HierResult, error) {
 	if env.Scale.MaxDepth < 3 {
 		return HierResult{}, fmt.Errorf("experiments: hierarchical needs MaxDepth >= 3")
 	}
@@ -48,46 +49,35 @@ func RunHierarchical(env *Env) (HierResult, error) {
 
 	type sample struct{ nFC, nAR, tFC, tAR, hFC, hAR []float64 }
 	for pt := 3; pt <= env.Scale.MaxTarget; pt++ {
-		ids := env.testSubset()
-		samples := make([]sample, len(ids))
-		var wg sync.WaitGroup
-		var firstErr error
-		var errOnce sync.Once
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for k, g := range ids {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(k, g int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				pb := env.Data.Problems[g]
-				rng := rand.New(rand.NewSource(env.Scale.Seed + int64(g)*33331 + int64(pt)))
-				var s sample
-				for rep := 0; rep < env.Scale.Reps; rep++ {
-					nv := core.NaiveRun(pb, pt, opt, rng)
-					tl, err := core.TwoLevel(pb, pt, opt, env.Predictor, rng)
-					if err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-					hr, err := core.Hierarchical(pb, pt, opt, env.Predictor, hpred, rng)
-					if err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-					s.nFC = append(s.nFC, float64(nv.NFev))
-					s.nAR = append(s.nAR, nv.AR)
-					s.tFC = append(s.tFC, float64(tl.TotalNFev))
-					s.tAR = append(s.tAR, tl.AR())
-					s.hFC = append(s.hFC, float64(hr.TotalNFev))
-					s.hAR = append(s.hAR, hr.AR())
+		samples := make([]sample, len(env.testSubset()))
+		err := env.forEachTestGraph(ctx, func(ctx context.Context, k, g int) error {
+			pb := env.Data.Problems[g]
+			rng := rand.New(rand.NewSource(env.Scale.Seed + int64(g)*33331 + int64(pt)))
+			s := &samples[k]
+			for rep := 0; rep < env.Scale.Reps; rep++ {
+				nv, err := core.NaiveRunArena(ctx, nil, pb, pt, opt, rng, env.Recorder)
+				if err != nil {
+					return err
 				}
-				samples[k] = s
-			}(k, g)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return HierResult{}, firstErr
+				tl, err := core.TwoLevelArena(ctx, nil, pb, pt, opt, env.Predictor, rng, env.Recorder)
+				if err != nil {
+					return err
+				}
+				hr, err := core.Hierarchical(ctx, nil, pb, pt, opt, env.Predictor, hpred, rng, env.Recorder)
+				if err != nil {
+					return err
+				}
+				s.nFC = append(s.nFC, float64(nv.NFev))
+				s.nAR = append(s.nAR, nv.AR)
+				s.tFC = append(s.tFC, float64(tl.TotalNFev))
+				s.tAR = append(s.tAR, tl.AR())
+				s.hFC = append(s.hFC, float64(hr.TotalNFev))
+				s.hAR = append(s.hAR, hr.AR())
+			}
+			return nil
+		})
+		if err != nil {
+			return HierResult{}, err
 		}
 		var all sample
 		for _, s := range samples {

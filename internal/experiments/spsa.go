@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -16,14 +17,19 @@ type SPSAResult struct {
 }
 
 // RunSPSAExtension evaluates naive vs two-level initialization under
-// SPSA for target depths 2..MaxTarget over the test graphs.
-func RunSPSAExtension(env *Env) SPSAResult {
+// SPSA for target depths 2..MaxTarget over the test graphs. The first
+// flow error, a cancel or deadline of ctx included, is returned.
+func RunSPSAExtension(ctx context.Context, env *Env) (SPSAResult, error) {
 	var res SPSAResult
 	opt := &optimize.SPSA{Tol: 1e-6, Seed: env.Scale.Seed + 77}
 	for pt := 2; pt <= env.Scale.MaxTarget; pt++ {
-		res.Rows = append(res.Rows, runTable1Cell(env, opt, pt))
+		row, err := runTable1Cell(ctx, env, opt, pt)
+		if err != nil {
+			return SPSAResult{}, err
+		}
+		res.Rows = append(res.Rows, row)
 	}
-	return res
+	return res, nil
 }
 
 // String renders the SPSA extension rows in the Table I layout.

@@ -1,11 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 
 	"qaoaml/internal/core"
 	"qaoaml/internal/optimize"
@@ -42,12 +41,16 @@ type Table1Result struct {
 // initialization (naive) and with the two-level flow, reporting
 // mean/SD of approximation ratio and function calls. FC counts are raw
 // QC-call counts (the paper reports normalized values; the reduction
-// percentages are directly comparable).
-func RunTable1(env *Env) Table1Result {
+// percentages are directly comparable). The first flow error, a
+// cancel or deadline of ctx included, ends the sweep and is returned.
+func RunTable1(ctx context.Context, env *Env) (Table1Result, error) {
 	var res Table1Result
 	for _, opt := range Optimizers() {
 		for pt := 2; pt <= env.Scale.MaxTarget; pt++ {
-			row := runTable1Cell(env, opt, pt)
+			row, err := runTable1Cell(ctx, env, opt, pt)
+			if err != nil {
+				return Table1Result{}, err
+			}
 			res.Rows = append(res.Rows, row)
 		}
 	}
@@ -63,7 +66,7 @@ func RunTable1(env *Env) Table1Result {
 		res.AvgFCReductionPct = sum / float64(len(res.Rows))
 		res.MaxFCReductionPct = maxRed
 	}
-	return res
+	return res, nil
 }
 
 type cellSample struct {
@@ -73,35 +76,31 @@ type cellSample struct {
 
 // runTable1Cell collects Reps runs per test graph for one cell,
 // parallelized over graphs with per-graph deterministic seeds.
-func runTable1Cell(env *Env, opt optimize.Optimizer, pt int) Table1Row {
-	ids := env.testSubset()
-	samples := make([]cellSample, len(ids))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for k, g := range ids {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k, g int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			pb := env.Data.Problems[g]
-			rng := rand.New(rand.NewSource(env.Scale.Seed + int64(g)*104729 + int64(pt)*31 + int64(len(opt.Name()))))
-			var s cellSample
-			for rep := 0; rep < env.Scale.Reps; rep++ {
-				nv := core.NaiveRun(pb, pt, opt, rng)
-				s.naiveAR = append(s.naiveAR, nv.AR)
-				s.naiveFC = append(s.naiveFC, float64(nv.NFev))
-				tl, err := core.TwoLevel(pb, pt, opt, env.Predictor, rng)
-				if err != nil {
-					panic(fmt.Sprintf("experiments: two-level run failed: %v", err))
-				}
-				s.twoAR = append(s.twoAR, tl.AR())
-				s.twoFC = append(s.twoFC, float64(tl.TotalNFev))
+func runTable1Cell(ctx context.Context, env *Env, opt optimize.Optimizer, pt int) (Table1Row, error) {
+	samples := make([]cellSample, len(env.testSubset()))
+	err := env.forEachTestGraph(ctx, func(ctx context.Context, k, g int) error {
+		pb := env.Data.Problems[g]
+		rng := rand.New(rand.NewSource(env.Scale.Seed + int64(g)*104729 + int64(pt)*31 + int64(len(opt.Name()))))
+		s := &samples[k]
+		for rep := 0; rep < env.Scale.Reps; rep++ {
+			nv, err := core.NaiveRunArena(ctx, nil, pb, pt, opt, rng, env.Recorder)
+			if err != nil {
+				return err
 			}
-			samples[k] = s
-		}(k, g)
+			s.naiveAR = append(s.naiveAR, nv.AR)
+			s.naiveFC = append(s.naiveFC, float64(nv.NFev))
+			tl, err := core.TwoLevelArena(ctx, nil, pb, pt, opt, env.Predictor, rng, env.Recorder)
+			if err != nil {
+				return err
+			}
+			s.twoAR = append(s.twoAR, tl.AR())
+			s.twoFC = append(s.twoFC, float64(tl.TotalNFev))
+		}
+		return nil
+	})
+	if err != nil {
+		return Table1Row{}, err
 	}
-	wg.Wait()
 
 	var all cellSample
 	for _, s := range samples {
@@ -121,7 +120,7 @@ func runTable1Cell(env *Env, opt optimize.Optimizer, pt int) Table1Row {
 	if row.NaiveMeanFC > 0 {
 		row.FCReductionPct = 100 * (1 - row.TwoMeanFC/row.NaiveMeanFC)
 	}
-	return row
+	return row, nil
 }
 
 // String renders the table in the layout of the paper's Table I.

@@ -597,82 +597,3 @@ func TestGPRLinearVarPinnedAndDisabled(t *testing.T) {
 		t.Errorf("linear kernel (%v) not better than RBF-only (%v) at x=6", pFar, dFar)
 	}
 }
-
-func TestForestFitsSmoothFunction(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	x, y := smoothData(rng, 300)
-	f := Forest{Trees: 60, Seed: 2}
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	xt, yt := smoothData(rng, 80)
-	m := Evaluate(yt, PredictBatch(&f, xt), 2)
-	if m.RMSE > 0.3 {
-		t.Errorf("forest RMSE = %v", m.RMSE)
-	}
-}
-
-func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	x := make([][]float64, 250)
-	y := make([]float64, 250)
-	for i := range x {
-		x[i] = []float64{rng.Float64() * 6}
-		y[i] = math.Sin(x[i][0]) + 0.4*rng.NormFloat64()
-	}
-	var single Tree
-	if err := single.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	forest := Forest{Trees: 80, Seed: 3}
-	if err := forest.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	var xt [][]float64
-	var yt []float64
-	for i := 0; i < 100; i++ {
-		v := rng.Float64() * 6
-		xt = append(xt, []float64{v})
-		yt = append(yt, math.Sin(v))
-	}
-	ms := Evaluate(yt, PredictBatch(&single, xt), 1)
-	mf := Evaluate(yt, PredictBatch(&forest, xt), 1)
-	if mf.RMSE >= ms.RMSE {
-		t.Errorf("forest RMSE %v not better than single tree %v on noisy data", mf.RMSE, ms.RMSE)
-	}
-}
-
-func TestForestDeterministicWithSeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	x, y := linearData(rng, 50, 0.1)
-	a := Forest{Trees: 10, Seed: 7}
-	b := Forest{Trees: 10, Seed: 7}
-	if err := a.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{0.3, -0.2}
-	if a.Predict(q) != b.Predict(q) {
-		t.Error("same seed produced different forests")
-	}
-}
-
-func TestForestValidation(t *testing.T) {
-	var f Forest
-	if err := f.Fit(nil, nil); !errors.Is(err, ErrEmptyTrainingSet) {
-		t.Errorf("empty err = %v", err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Predict before Fit should panic")
-			}
-		}()
-		f.Predict([]float64{1})
-	}()
-	if f.Name() != "FOREST" {
-		t.Errorf("Name = %q", f.Name())
-	}
-}

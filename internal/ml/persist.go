@@ -27,12 +27,11 @@ type modelFile struct {
 
 // modelState is a tagged union over the supported model families.
 type modelState struct {
-	Kind   string       `json:"kind"` // Name() of the model: LM, RTREE, GPR, RSVM, FOREST
+	Kind   string       `json:"kind"` // Name() of the model: LM, RTREE, GPR, RSVM
 	Linear *linearState `json:"linear,omitempty"`
 	Tree   *treeState   `json:"tree,omitempty"`
 	GPR    *gprState    `json:"gpr,omitempty"`
 	SVR    *svrState    `json:"svr,omitempty"`
-	Forest *forestState `json:"forest,omitempty"`
 }
 
 type linearState struct {
@@ -95,18 +94,8 @@ type svrState struct {
 	YStd        float64           `json:"y_std"`
 }
 
-type forestState struct {
-	Trees       int         `json:"trees,omitempty"`
-	MaxDepth    int         `json:"max_depth,omitempty"`
-	MinLeafSize int         `json:"min_leaf_size,omitempty"`
-	Seed        int64       `json:"seed,omitempty"`
-	Dim         int         `json:"dim"`
-	Members     []treeState `json:"members"`
-	Scales      [][]int     `json:"scales"`
-}
-
 // Save writes a trained regressor as versioned JSON. Supported families:
-// Linear, Tree, GPR, SVR, Forest. Unfitted models and unknown
+// Linear, Tree, GPR, SVR. Unfitted models and unknown
 // implementations are rejected.
 func Save(w io.Writer, r Regressor) error {
 	st, err := encodeRegressor(r)
@@ -153,7 +142,7 @@ func LoadFile(path string) (Regressor, error) {
 }
 
 // FactoryFor returns a fresh-model constructor for a family name as
-// reported by Regressor.Name (LM, RTREE, GPR, RSVM, FOREST).
+// reported by Regressor.Name (LM, RTREE, GPR, RSVM).
 func FactoryFor(name string) (func() Regressor, bool) {
 	switch name {
 	case "LM":
@@ -164,8 +153,6 @@ func FactoryFor(name string) (func() Regressor, bool) {
 		return func() Regressor { return &GPR{} }, true
 	case "RSVM":
 		return func() Regressor { return &SVR{} }, true
-	case "FOREST":
-		return func() Regressor { return &Forest{} }, true
 	}
 	return nil, false
 }
@@ -211,19 +198,6 @@ func encodeRegressor(r Regressor) (modelState, error) {
 			XScale: encodeStandardizer(m.xScale),
 			YMean:  m.yMean, YStd: m.yStd,
 		}}, nil
-	case *Forest:
-		if len(m.members) == 0 {
-			return modelState{}, fmt.Errorf("ml: cannot save unfitted %s model", m.Name())
-		}
-		fs := forestState{
-			Trees: m.Trees, MaxDepth: m.MaxDepth, MinLeafSize: m.MinLeafSize,
-			Seed: m.Seed, Dim: m.dim,
-		}
-		for i, tree := range m.members {
-			fs.Members = append(fs.Members, encodeTree(tree))
-			fs.Scales = append(fs.Scales, append([]int(nil), m.scales[i]...))
-		}
-		return modelState{Kind: m.Name(), Forest: &fs}, nil
 	}
 	return modelState{}, fmt.Errorf("ml: model %q does not support persistence", r.Name())
 }
@@ -275,24 +249,6 @@ func decodeRegressor(st modelState) (Regressor, error) {
 			yMean:  s.YMean, yStd: s.YStd,
 			fitted: true,
 		}, nil
-	case st.Forest != nil:
-		s := st.Forest
-		if len(s.Members) == 0 || len(s.Members) != len(s.Scales) {
-			return nil, fmt.Errorf("ml: forest state has %d members but %d feature subsets", len(s.Members), len(s.Scales))
-		}
-		f := &Forest{
-			Trees: s.Trees, MaxDepth: s.MaxDepth, MinLeafSize: s.MinLeafSize,
-			Seed: s.Seed, dim: s.Dim,
-		}
-		for i, ts := range s.Members {
-			tree, err := decodeTree(ts)
-			if err != nil {
-				return nil, fmt.Errorf("ml: forest member %d: %w", i, err)
-			}
-			f.members = append(f.members, tree)
-			f.scales = append(f.scales, append([]int(nil), s.Scales[i]...))
-		}
-		return f, nil
 	}
 	return nil, fmt.Errorf("ml: model state of kind %q has no payload", st.Kind)
 }

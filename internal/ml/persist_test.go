@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -32,7 +33,6 @@ func TestSaveLoadRoundTripPredictions(t *testing.T) {
 		&GPR{},
 		&GPR{LinearVar: -1},
 		&SVR{},
-		&Forest{Trees: 7},
 	}
 	for _, m := range models {
 		if err := m.Fit(x, y); err != nil {
@@ -60,7 +60,7 @@ func TestSaveLoadRoundTripPredictions(t *testing.T) {
 }
 
 func TestSaveRejectsUnfitted(t *testing.T) {
-	for _, m := range []Regressor{&Linear{}, &Tree{}, &GPR{}, &SVR{}, &Forest{}} {
+	for _, m := range []Regressor{&Linear{}, &Tree{}, &GPR{}, &SVR{}} {
 		var buf bytes.Buffer
 		if err := Save(&buf, m); err == nil {
 			t.Errorf("%s: saving unfitted model succeeded", m.Name())
@@ -77,6 +77,15 @@ func TestLoadRejectsBadVersion(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader([]byte(`not json`))); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	// FOREST is not a supported family: a saved forest is rejected,
+	// alone and as a predictor bank.
+	forest := `{"kind":"FOREST","forest":{"dim":3,"members":[],"scales":[]}}`
+	if _, err := Load(strings.NewReader(`{"version":1,"model":` + forest + `}`)); err == nil || !strings.Contains(err.Error(), "has no payload") {
+		t.Errorf("forest model: err = %v, want a no-payload rejection", err)
+	}
+	if _, err := LoadMultiOutput(strings.NewReader(`{"version":1,"bank":{"models":[` + forest + `]}}`)); err == nil || !strings.Contains(err.Error(), "unknown model family") {
+		t.Errorf("forest bank: err = %v, want an unknown-family rejection", err)
 	}
 }
 

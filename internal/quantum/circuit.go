@@ -22,13 +22,12 @@ const (
 	GateCZ
 	GateSWAP
 	GateZZ
-	GateXY
 )
 
 var gateNames = map[GateKind]string{
 	GateH: "H", GateX: "X", GateY: "Y", GateZ: "Z",
 	GateRX: "RX", GateRY: "RY", GateRZ: "RZ", GatePhase: "P",
-	GateCNOT: "CNOT", GateCZ: "CZ", GateSWAP: "SWAP", GateZZ: "ZZ", GateXY: "XY",
+	GateCNOT: "CNOT", GateCZ: "CZ", GateSWAP: "SWAP", GateZZ: "ZZ",
 }
 
 // String returns the conventional gate mnemonic.
@@ -42,7 +41,7 @@ func (k GateKind) String() string {
 // parametric reports whether the gate carries a rotation angle.
 func (k GateKind) parametric() bool {
 	switch k {
-	case GateRX, GateRY, GateRZ, GatePhase, GateZZ, GateXY:
+	case GateRX, GateRY, GateRZ, GatePhase, GateZZ:
 		return true
 	}
 	return false
@@ -51,7 +50,7 @@ func (k GateKind) parametric() bool {
 // twoQubit reports whether the gate acts on two qubits.
 func (k GateKind) twoQubit() bool {
 	switch k {
-	case GateCNOT, GateCZ, GateSWAP, GateZZ, GateXY:
+	case GateCNOT, GateCZ, GateSWAP, GateZZ:
 		return true
 	}
 	return false
@@ -195,11 +194,6 @@ func (c *Circuit) ZZ(a, b int, theta float64) *Circuit {
 	return c.add(Op{Kind: GateZZ, Q1: a, Q2: b, Theta: theta})
 }
 
-// XY appends exp(−iθ(X⊗X + Y⊗Y)/2) between a and b.
-func (c *Circuit) XY(a, b int, theta float64) *Circuit {
-	return c.add(Op{Kind: GateXY, Q1: a, Q2: b, Theta: theta})
-}
-
 // Apply runs the circuit on the given state in place.
 // It panics if widths differ.
 func (c *Circuit) Apply(s *State) {
@@ -232,8 +226,6 @@ func (c *Circuit) Apply(s *State) {
 			s.SWAP(op.Q1, op.Q2)
 		case GateZZ:
 			s.ZZ(op.Q1, op.Q2, op.Theta)
-		case GateXY:
-			s.XY(op.Q1, op.Q2, op.Theta)
 		default:
 			panic(fmt.Sprintf("quantum: unknown gate kind %v", op.Kind))
 		}

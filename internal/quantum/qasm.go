@@ -11,7 +11,6 @@ import (
 // library QASM equivalent are emitted as their textbook decompositions:
 //
 //	ZZ(θ)  → cx; rz(θ); cx
-//	XY(θ)  → rxx(θ) and ryy(θ) decompositions via h/sdg bases
 //	P(φ)   → u1(φ)
 func (c *Circuit) QASM() string {
 	var b strings.Builder
@@ -46,29 +45,9 @@ func (c *Circuit) QASM() string {
 			fmt.Fprintf(&b, "cx q[%d],q[%d];\n", op.Q1, op.Q2)
 			fmt.Fprintf(&b, "rz(%.12g) q[%d];\n", op.Theta, op.Q2)
 			fmt.Fprintf(&b, "cx q[%d],q[%d];\n", op.Q1, op.Q2)
-		case GateXY:
-			// exp(−iθ(XX+YY)/2) = RXX(θ)·RYY(θ); emit each via basis
-			// changes around a ZZ interaction.
-			writeRXX(&b, op.Q1, op.Q2, op.Theta)
-			writeRYY(&b, op.Q1, op.Q2, op.Theta)
 		default:
 			panic(fmt.Sprintf("quantum: QASM export for unknown gate %v", op.Kind))
 		}
 	}
 	return b.String()
-}
-
-// writeRXX emits exp(−iθ X⊗X/2) = (H⊗H)·ZZ(θ)·(H⊗H).
-func writeRXX(b *strings.Builder, a, c int, theta float64) {
-	fmt.Fprintf(b, "h q[%d];\nh q[%d];\n", a, c)
-	fmt.Fprintf(b, "cx q[%d],q[%d];\nrz(%.12g) q[%d];\ncx q[%d],q[%d];\n", a, c, theta, c, a, c)
-	fmt.Fprintf(b, "h q[%d];\nh q[%d];\n", a, c)
-}
-
-// writeRYY emits exp(−iθ Y⊗Y/2) via the sdg/h basis change
-// (Y = S·X·S†, so conjugate each qubit by sdg·h).
-func writeRYY(b *strings.Builder, a, c int, theta float64) {
-	fmt.Fprintf(b, "sdg q[%d];\nsdg q[%d];\nh q[%d];\nh q[%d];\n", a, c, a, c)
-	fmt.Fprintf(b, "cx q[%d],q[%d];\nrz(%.12g) q[%d];\ncx q[%d],q[%d];\n", a, c, theta, c, a, c)
-	fmt.Fprintf(b, "h q[%d];\nh q[%d];\ns q[%d];\ns q[%d];\n", a, c, a, c)
 }

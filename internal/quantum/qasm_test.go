@@ -41,19 +41,6 @@ func TestQASMZZDecomposition(t *testing.T) {
 	}
 }
 
-func TestQASMXYDecomposition(t *testing.T) {
-	q := NewCircuit(2).XY(0, 1, 0.6).QASM()
-	// Must contain both basis-changed ZZ blocks and the sdg/s wrappers.
-	for _, want := range []string{"sdg q[0];", "s q[0];", "rz(0.6) q[1];"} {
-		if !strings.Contains(q, want) {
-			t.Errorf("XY decomposition missing %q:\n%s", want, q)
-		}
-	}
-	if strings.Count(q, "cx q[0],q[1];") != 4 { // 2 per ZZ block
-		t.Errorf("XY decomposition should contain 4 cx:\n%s", q)
-	}
-}
-
 func TestQASMQAOAShapedCircuit(t *testing.T) {
 	// A depth-1 QAOA-like circuit exports without panicking and with one
 	// line per gate (+3 header lines, ZZ expands to 3).

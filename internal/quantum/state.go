@@ -423,30 +423,6 @@ func (s *State) SWAP(a, b int) {
 	}
 }
 
-// XY applies exp(−iθ(X⊗X + Y⊗Y)/2) between qubits a and b: a rotation
-// within the span of |01⟩ and |10⟩ that leaves |00⟩ and |11⟩ fixed. It
-// preserves Hamming weight, which makes it the building block for
-// constrained QAOA mixers (ring/XY mixers).
-func (s *State) XY(a, b int, theta float64) {
-	s.checkQubit(a)
-	s.checkQubit(b)
-	if a == b {
-		panic("quantum: XY on identical qubits")
-	}
-	c := complex(math.Cos(theta), 0)
-	ms := complex(0, -math.Sin(theta))
-	abit, bbit := 1<<uint(a), 1<<uint(b)
-	for i := range s.amps {
-		// Act once per {|01⟩, |10⟩} pair: representative has a set, b clear.
-		if i&abit != 0 && i&bbit == 0 {
-			j := i&^abit | bbit
-			ai, aj := s.amps[i], s.amps[j]
-			s.amps[i] = c*ai + ms*aj
-			s.amps[j] = ms*ai + c*aj
-		}
-	}
-}
-
 // ZZ applies exp(-iθ Z⊗Z/2) between qubits a and b. It equals the gate
 // sequence CNOT(a,b)·RZ_b(θ)·CNOT(a,b) and is the fast path for QAOA
 // phase separators.

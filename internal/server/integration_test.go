@@ -14,7 +14,7 @@ import (
 
 // TestTwoLevelEndToEnd is the PR's acceptance test: an in-process qaoad
 // serves an 8-node two-level solve, the job is polled to completion,
-// and the result matches the direct core.TwoLevelCtx call bit-for-bit.
+// and the result matches the direct core.TwoLevelArena call bit-for-bit.
 // A repeated identical request is then served from the cache with zero
 // additional optimizer function evaluations, verified via the
 // optimize.fev_total telemetry counter.
@@ -47,7 +47,7 @@ func TestTwoLevelEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.TwoLevelCtx(context.Background(), pb, depth,
+	direct, err := core.TwoLevelArena(context.Background(), nil, pb, depth,
 		&optimize.LBFGSB{Tol: 1e-6}, testPredictor(t), rand.New(rand.NewSource(1)), nil)
 	if err != nil {
 		t.Fatal(err)

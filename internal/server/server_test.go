@@ -159,7 +159,7 @@ func TestNaiveSolveMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.NaiveRunCtx(context.Background(), pb, depth,
+	direct, err := core.NaiveRunArena(context.Background(), nil, pb, depth,
 		&optimize.LBFGSB{Tol: 1e-6}, rand.New(rand.NewSource(seed)), nil)
 	if err != nil {
 		t.Fatal(err)
